@@ -13,6 +13,7 @@ __all__ = [
     "COND_CAP",
     "chol_factor",
     "chol_logdet",
+    "factor_logdet",
     "chol_solve",
     "quad_form",
     "inv_pd",
@@ -57,7 +58,11 @@ def chol_factor(a, what="matrix"):
 
 def chol_logdet(a, what="matrix"):
     """log|A| for symmetric positive definite A (0.0 for the 0x0 matrix)."""
-    L = chol_factor(a, what)
+    return factor_logdet(chol_factor(a, what))
+
+
+def factor_logdet(L):
+    """log|A| given the lower Cholesky factor L of A (0.0 for 0x0)."""
     if L.shape[0] == 0:
         return 0.0
     return 2.0 * float(np.sum(np.log(np.diag(L))))

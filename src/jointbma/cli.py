@@ -14,27 +14,24 @@ Exit codes: 0 success; 2 parse or config error; 3 numerical-domain
 error; 4 non-convergence.
 """
 import argparse
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import csv as csv_module
 import io
 import json
-import math
 import sys
 
 import numpy as np
 
 from ._linalg import log_sum_exp
-from .averaging import ModelPosterior, shrinkage_curve
+from .averaging import shrinkage_curve
 from .config import TASKS, load_config
 from .datasets import load_contingency_csv, load_linear_csv, simulate_dfn, \
     simulate_nott_kohn
 from .exceptions import CapacityError, ContractError, ConvergenceError, \
-    DegenerateDataError, JointBmaError, NumericalDomainError, ParseError, \
-    SpecificationError
+    DegenerateDataError, NumericalDomainError, ParseError, SpecificationError
 from .glm_laplace import term_block_prior, unit_info_for_model
 from .linear_exact import LinearDataset, all_subsets_stats, cv_score, \
-    gprior_log_marginals
+    gprior_sweep
 from .model_space import enumerate_hierarchical_models, \
     enumerate_linear_models, log_prior_model_weight
 from .param_priors import prior_for_linear_model
@@ -180,28 +177,12 @@ def _cmd_simulate(cfg):
                                n=data.n, p=data.p))
 
 
-def _fast_sweep_scale(policy, d_vector):
-    """Dimension multiplier of log c^2 in the closed-form g-prior sweep.
-
-    Under the g-prior base the information adjustment collapses to
-    d log c exactly, so adjusted_c and adjusted_info coincide; the
-    remaining variants need per-model matrices and have no fast path.
-    """
-    if policy.variant == "uniform":
-        return 0.0
-    if policy.variant in ("adjusted_c", "adjusted_info"):
-        return 0.5 * d_vector
-    raise SpecificationError(
-        f"policy variant {policy.variant!r} has no closed-form sweep; "
-        "use uniform, adjusted_c, or adjusted_info")
-
-
 def run_sweep(cfg):
     """Whole-space g-prior posterior across the c^2 grid and policies.
 
-    Grid points are evaluated concurrently (the per-point work is pure);
-    rows come out in deterministic policy-major, grid-minor order. Errors
-    raised at a grid point are re-raised annotated with that point.
+    The all-subsets statistics are computed once and shared by every
+    policy's gprior_sweep; rows come out in deterministic policy-major,
+    grid-minor order.
     """
     data = _load_linear(cfg)
     if cfg.prior.template != "gprior":
@@ -214,7 +195,6 @@ def run_sweep(cfg):
         raise CapacityError(
             f"sweep enumerates 2^p subsets; p={data.p} exceeds the "
             f"command-line cap of {MAX_CLI_ENUM}")
-    grid = np.asarray(cfg.prior.c2_grid, dtype=float)
     stats = all_subsets_stats(data)
     labels = _covariate_labels(data)
     index = {m: pos for pos, m in enumerate(stats.models)}
@@ -223,29 +203,14 @@ def run_sweep(cfg):
             raise ParseError(
                 f"watch model {w.label()!r} is not in the sweep support "
                 f"(intercept-containing subsets of p={data.p} covariates)")
-    member = np.zeros((len(stats.models), data.p))
-    for pos, m in enumerate(stats.models):
-        member[pos, list(m.members)] = 1.0
-
-    def eval_point(c2):
-        try:
-            return gprior_log_marginals(stats, c2, cfg.prior.alpha,
-                                        cfg.prior.lam)
-        except JointBmaError as exc:
-            raise type(exc)(f"grid point c2={_fmt(c2)}: {exc}") from exc
-
-    with ThreadPoolExecutor(max_workers=min(8, grid.size)) as pool:
-        marginals = list(pool.map(eval_point, grid))
-    convention = marginals[0][1]
 
     rows = []
     top_k = min(cfg.sweep.top_k, len(stats.models))
     for policy in cfg.policies:
-        baseline = np.array([policy.baseline.log_p(m) for m in stats.models])
-        d_scale = _fast_sweep_scale(policy, stats.d)
-        for gi, c2 in enumerate(grid):
-            lw = baseline + d_scale * math.log(c2) + marginals[gi][0]
-            probs = np.exp(lw - log_sum_exp(lw))
+        sweep = gprior_sweep(stats, cfg.prior.c2_grid, policy,
+                             cfg.prior.alpha, cfg.prior.lam)
+        for gi, c2 in enumerate(sweep.c2_grid):
+            probs = np.exp(sweep.log_posterior[gi])
             # Stable sort on -prob keeps canonical model order among ties.
             for pos in np.argsort(-probs, kind="stable")[:top_k]:
                 rows.append((policy.variant, float(c2), "model",
@@ -253,7 +218,7 @@ def run_sweep(cfg):
             for w in cfg.sweep.watch:
                 rows.append((policy.variant, float(c2), "watch", w.label(),
                              float(probs[index[w]])))
-            inclusion = probs @ member
+            inclusion = probs @ stats.member
             for j in range(data.p):
                 rows.append((policy.variant, float(c2), "inclusion",
                              labels[j], float(inclusion[j])))
@@ -265,8 +230,8 @@ def run_sweep(cfg):
             policy=",".join(p.variant for p in cfg.policies),
             prior_template=cfg.prior.template,
             alpha=cfg.prior.alpha, **{"lambda": cfg.prior.lam},
-            convention=convention, n=data.n, p=data.p, top_k=top_k,
-            c2_grid=",".join(_fmt(v) for v in grid)))
+            convention=sweep.convention, n=data.n, p=data.p, top_k=top_k,
+            c2_grid=",".join(_fmt(v) for v in sweep.c2_grid)))
 
 
 def _cmd_cv(cfg):
@@ -297,23 +262,17 @@ def _cmd_cv(cfg):
         rng = np.random.Generator(np.random.Philox(cfg.seed))
 
     rows = []
-    convention = None
     for policy in cfg.policies:
-        baseline = np.array([policy.baseline.log_p(m) for m in stats.models])
-        d_scale = _fast_sweep_scale(policy, stats.d)
-        for c2 in grid:
-            lm, convention = gprior_log_marginals(stats, c2, cfg.prior.alpha,
-                                                  cfg.prior.lam)
-            lw = baseline + d_scale * math.log(c2) + lm
-            posterior = ModelPosterior(models=stats.models,
-                                       log_probs=lw - log_sum_exp(lw),
-                                       convention=convention)
+        sweep = gprior_sweep(stats, grid, policy, cfg.prior.alpha,
+                             cfg.prior.lam)
+        for gi, c2 in enumerate(sweep.c2_grid):
             priors = {m: prior_for_linear_model(data.X, m, c2,
                                                 alpha=cfg.prior.alpha,
                                                 lam=cfg.prior.lam)
                       for m in stats.models}
-            score = cv_score(posterior, data, priors, mode=cfg.cv.mode,
-                             rng=rng, num_draws=cfg.cv.num_draws)
+            score = cv_score(sweep.posterior_at(gi), data, priors,
+                             mode=cfg.cv.mode, rng=rng,
+                             num_draws=cfg.cv.num_draws)
             rows.append((policy.variant, float(c2), float(score.total)))
     return ResultTable(
         columns=("policy", "c2", "S"),
@@ -322,7 +281,7 @@ def _cmd_cv(cfg):
             cfg, mode=cfg.cv.mode,
             policy=",".join(p.variant for p in cfg.policies),
             prior_template=cfg.prior.template, alpha=cfg.prior.alpha,
-            **{"lambda": cfg.prior.lam}, convention=convention,
+            **{"lambda": cfg.prior.lam}, convention=sweep.convention,
             num_draws=cfg.cv.num_draws if cfg.cv.mode == "gelfand" else 0,
             n=data.n, p=data.p))
 

@@ -193,6 +193,8 @@ def _parse_policies(parser):
         return (ModelPriorPolicy(variant="uniform"),)
     section = parser["policy"]
     names = _csv_list(section.get("variants", "uniform"))
+    if not names:
+        raise ParseError("[policy] variants lists no policy variant")
     for name in names:
         if name not in POLICY_VARIANTS:
             raise ParseError(
@@ -327,6 +329,9 @@ def load_config(path, seed_override=None, out_override=None,
             top_k=_get(section, "top_k", int, default=10),
             watch=tuple(parse_model_label(t)
                         for t in _csv_list(section.get("watch", ""))))
+        if sweep.top_k < 0:
+            raise ParseError(
+                f"[sweep] top_k must be nonnegative, got {sweep.top_k}")
 
     rj = RjConfigSection()
     if parser.has_section("rjmcmc"):

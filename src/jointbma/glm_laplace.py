@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
-from ._linalg import chol_factor, chol_logdet, chol_solve, inv_pd, quad_form
+from ._linalg import chol_factor, chol_logdet, chol_solve, factor_logdet, \
+    inv_pd, quad_form
 from .averaging import LogMarginal
 from .exceptions import (ContractError, ConvergenceError, DegenerateDataError,
                          SpecificationError)
@@ -155,7 +155,7 @@ class PoissonLogLinear:
             raise ContractError("counts must be finite and nonnegative")
         self.X = X
         self.y = y
-        self._log_y_fact = float(np.sum(gammaln(y + 1.0)))
+        self._log_y_fact = float(np.sum([math.lgamma(v) for v in y + 1.0]))
 
     @property
     def dim(self):
@@ -341,11 +341,10 @@ def log_marginal_laplace_model(model, prior, variant="at_map",
                            method="laplace" if variant == "at_mle"
                            else "laplace_penalized",
                            convention="proper")
-    V = prior.variance()
-    Lv = chol_factor(V, "prior variance V")
-    ld_v = 2.0 * float(np.sum(np.log(np.diag(Lv))))
+    Lv = chol_factor(prior.variance(), "prior variance V")
+    ld_v = factor_logdet(Lv)
     if variant == "at_map":
-        v_inv = inv_pd(V, "prior variance V")
+        v_inv = chol_solve(Lv, np.eye(model.dim))
         fit = _newton(model, prior.mu.copy(), tol, max_iter,
                       v_inv=v_inv, mu=prior.mu, kind="map")
         curvature = model.neg_hessian(fit.beta) + v_inv

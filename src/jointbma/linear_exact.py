@@ -28,9 +28,10 @@ import math
 
 import numpy as np
 
-from ._linalg import chol_factor, chol_solve, inv_pd, log_sum_exp
+from ._linalg import chol_factor, chol_solve, factor_logdet, log_sum_exp
 from .averaging import LogMarginal, ModelPosterior
-from .exceptions import ContractError, DegenerateDataError, SpecificationError
+from .exceptions import ContractError, DegenerateDataError, JointBmaError, \
+    SpecificationError
 from .model_space import enumerate_linear_models
 from .param_priors import linear_design
 
@@ -151,16 +152,16 @@ def posterior_moments(data, m, prior):
     yty = data.yty
 
     if d > 0:
-        V = prior.variance()
-        v_inv = inv_pd(V, "prior variance V")
-        ld_v = 2.0 * float(np.sum(np.log(np.diag(chol_factor(V, "prior variance V")))))
+        L_v = chol_factor(prior.variance(), "prior variance V")
+        v_inv = chol_solve(L_v, np.eye(d))
+        ld_v = factor_logdet(L_v)
         prec = v_inv + Xm.T @ Xm
         L_prec = chol_factor(prec, "posterior precision")
         b = v_inv @ prior.mu + Xm.T @ y
         beta_tilde = chol_solve(L_prec, b)
         Vstar = chol_solve(L_prec, np.eye(d))
         Vstar = 0.5 * (Vstar + Vstar.T)
-        ld_vstar = -2.0 * float(np.sum(np.log(np.diag(L_prec))))
+        ld_vstar = -factor_logdet(L_prec)
         s = yty + float(prior.mu @ (v_inv @ prior.mu)) - float(beta_tilde @ b)
     else:
         beta_tilde = np.zeros(0)
@@ -343,11 +344,13 @@ def cv_score(posterior, data, priors, mode="exact", rng=None, num_draws=2000):
 class AllSubsets:
     """Sufficient statistics for every covariate subset: model order is
     canonical (dimension, then lexicographic members), aligned with the
-    d and r2 arrays."""
+    d and r2 arrays and the rows of member, the 0/1 matrix of covariate
+    membership (one column per covariate)."""
 
     models: tuple
     d: np.ndarray
     r2: np.ndarray
+    member: np.ndarray
     n: int
     yty: float
     tss: float
@@ -371,6 +374,7 @@ def all_subsets_stats(data):
     for pos, m in enumerate(models):
         by_size.setdefault(len(m.members), []).append(pos)
     r2 = np.zeros(len(models))
+    member = np.zeros((len(models), p))
     for k, positions in by_size.items():
         if k == 0:
             continue
@@ -386,9 +390,10 @@ def all_subsets_stats(data):
                 "singular")
         ess = np.einsum("ij,ij->i", coef, gsub)
         r2[positions] = np.clip(ess / tss, 0.0, 1.0)
+        member[np.array(positions)[:, None], idx] = 1.0
     d = np.array([m.d for m in models], dtype=int)
-    return AllSubsets(models=tuple(models), d=d, r2=r2, n=data.n,
-                      yty=data.yty, tss=tss)
+    return AllSubsets(models=tuple(models), d=d, r2=r2, member=member,
+                      n=data.n, yty=data.yty, tss=tss)
 
 
 def gprior_log_marginals(stats, c2, alpha=0.0, lam=0.0):
@@ -441,17 +446,21 @@ class SweepResult:
 def gprior_sweep(data, c2_grid, policy, alpha=0.0, lam=0.0):
     """Whole-space posterior as a function of the dispersion scale.
 
+    data is a LinearDataset, or the AllSubsets statistics built from one
+    so that several policies can share a single all-subsets pass.
+
     Supports the policy variants whose weight depends on the model only
     through d: uniform, adjusted_c, and adjusted_info. For the g-prior
     base the information adjustment is exactly d log c (the base metric
     inverts the unit information), so both adjusted variants share one
     code path. Other variants need per-model matrices; use the generic
-    route for those.
+    route for those. Errors raised at a grid point are re-raised
+    annotated with that point.
     """
     c2_grid = np.atleast_1d(np.asarray(c2_grid, dtype=float))
     if c2_grid.size == 0 or np.any(c2_grid <= 0.0):
         raise ContractError("c2_grid must contain positive scales")
-    stats = all_subsets_stats(data)
+    stats = data if isinstance(data, AllSubsets) else all_subsets_stats(data)
     baseline = np.array([policy.baseline.log_p(m) for m in stats.models])
     if policy.variant == "uniform":
         d_scale = 0.0
@@ -465,7 +474,10 @@ def gprior_sweep(data, c2_grid, policy, alpha=0.0, lam=0.0):
     log_weights = np.zeros((c2_grid.size, len(stats.models)))
     convention = None
     for gi, c2 in enumerate(c2_grid):
-        lm, convention = gprior_log_marginals(stats, c2, alpha, lam)
+        try:
+            lm, convention = gprior_log_marginals(stats, c2, alpha, lam)
+        except JointBmaError as exc:
+            raise type(exc)(f"grid point c2={c2:.17g}: {exc}") from exc
         log_weights[gi] = baseline + d_scale * log(c2) + lm
     log_post = log_weights - np.array([log_sum_exp(row)
                                        for row in log_weights])[:, None]

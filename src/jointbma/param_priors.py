@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from ._linalg import chol_factor, chol_logdet, quad_form
+from ._linalg import chol_factor, chol_logdet, factor_logdet, quad_form
 from .exceptions import ContractError, SpecificationError
 
 __all__ = [
@@ -298,6 +298,6 @@ def log_prior_density(beta, prior):
         return 0.0
     V = prior.variance()
     L = chol_factor(V, "prior variance V")
-    ld = 2.0 * float(np.sum(np.log(np.diag(L))))
+    ld = factor_logdet(L)
     q = quad_form(L, beta - prior.mu)
     return -0.5 * (prior.d * math.log(2.0 * math.pi) + ld + q)

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from ._linalg import chol_factor, inv_pd
+from ._linalg import chol_factor, factor_logdet, inv_pd
 from .exceptions import ContractError
 from .glm_laplace import ContingencyTable, PoissonLogLinear, _newton, \
     build_design, unit_info_for_model
@@ -292,7 +292,7 @@ def _laplace_proposal(likelihood, prior):
                   v_inv=v_inv, mu=prior.mu, kind="map")
     precision = likelihood.neg_hessian(fit.beta) + v_inv
     L = chol_factor(precision, "proposal precision")
-    ld = 2.0 * float(np.sum(np.log(np.diag(L))))
+    ld = factor_logdet(L)
     return fit.beta, L, ld
 
 

@@ -1,14 +1,19 @@
 """Command-line front end: exit codes, output formats, and round trips.
 
 All invocations run in-process through main(argv) so exit codes and
-stdout/stderr are observable without spawning an interpreter.
+stdout/stderr are observable without spawning an interpreter; only the
+import-footprint check starts a fresh one.
 """
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import jointbma
 from jointbma import LinearDataset
 from jointbma.cli import main
 from jointbma.datasets import write_linear_csv
@@ -262,6 +267,24 @@ def test_exit_code_2_paths(tmp_path, capsys):
     assert main(["sweep", "--config", cfg]) == 2
     assert "not in the sweep support" in capsys.readouterr().err
 
+    # Negative top_k (0 is legal: watch and inclusion rows only).
+    cfg = write_config(tmp_path, (
+        "[experiment]\ntask = sweep\n\n"
+        f"[data]\nsource = csv\npath = {data_path}\n\n"
+        "[prior]\nc2_grid = 1,10,2\n\n"
+        "[sweep]\ntop_k = -3\n"), name="topk.ini")
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "top_k" in capsys.readouterr().err
+
+    # Empty policy list.
+    cfg = write_config(tmp_path, (
+        "[experiment]\ntask = sweep\n\n"
+        f"[data]\nsource = csv\npath = {data_path}\n\n"
+        "[prior]\nc2_grid = 1,10,2\n\n"
+        "[policy]\nvariants =\n"), name="nopolicy.ini")
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "variants" in capsys.readouterr().err
+
     # Capacity cap: cv enumerates 2^p over n folds.
     rng = np.random.Generator(np.random.Philox(0))
     wide = LinearDataset(y=rng.standard_normal(20),
@@ -290,16 +313,17 @@ def test_exit_code_3_degenerate_response(tmp_path, capsys):
     assert "response is constant" in err
 
 
-def test_sweep_error_names_grid_point(tmp_path, capsys):
+@pytest.mark.parametrize("task", ["sweep", "cv"])
+def test_sweep_error_names_grid_point(tmp_path, capsys, task):
     # lambda is only validated where it is used, so a bad sigma^2 prior
     # surfaces inside the sweep and must be annotated with the c2 value.
     data_path = str(tmp_path / "d.csv")
     write_linear_csv(small_dataset(n=20, p=2), data_path)
     cfg = write_config(tmp_path, (
-        "[experiment]\ntask = sweep\n\n"
+        f"[experiment]\ntask = {task}\n\n"
         f"[data]\nsource = csv\npath = {data_path}\n\n"
         "[prior]\ntemplate = gprior\nlambda = -1\nc2_grid = 1e0,1e2,3\n"))
-    assert main(["sweep", "--config", cfg]) == 2
+    assert main([task, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "grid point c2=1:" in err
     assert "nonnegative" in err
@@ -323,3 +347,15 @@ def test_argparse_rejects_unknown_task():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", "x.ini"])
     assert exc.value.code == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency; the package must run without it.
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(jointbma.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = "import sys, jointbma.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

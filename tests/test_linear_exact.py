@@ -233,6 +233,9 @@ def test_all_subsets_stats_matches_lstsq():
     data = LinearDataset(y=y, X=X)
     stats = all_subsets_stats(data)
     assert len(stats.models) == 2 ** p
+    assert stats.member.shape == (2 ** p, p)
+    for m, row in zip(stats.models, stats.member):
+        assert np.flatnonzero(row).tolist() == list(m.members)
     for m, r2 in zip(stats.models, stats.r2):
         if not m.members:
             assert r2 == 0.0
@@ -270,6 +273,8 @@ def test_gprior_sweep_matches_generic_policy_route():
     for variant in ("uniform", "adjusted_c", "adjusted_info"):
         policy = ModelPriorPolicy(variant=variant, baseline=baseline)
         sweep = gprior_sweep(data, grid, policy)
+        shared = gprior_sweep(all_subsets_stats(data), grid, policy)
+        assert np.array_equal(shared.log_posterior, sweep.log_posterior)
         for gi, c2 in enumerate(grid):
             marginals, lws = [], []
             for m in sweep.models:
