@@ -30,9 +30,9 @@ from .averaging import KPolicy, LogMarginal, ModelPosterior, \
     posterior_mean_expansion, shrinkage_curve, term_inclusion_probs
 from .linear_exact import AllSubsets, CvScore, LinearDataset, \
     LinearPosterior, SweepResult, all_subsets_stats, cv_score, \
-    gprior_log_marginals, gprior_sweep, log_marginal_gprior_closed, \
-    log_marginal_nig, loo_predictive_exact, posterior_moments, \
-    sample_joint_posterior
+    cv_score_from_lpd, gprior_log_marginals, gprior_sweep, \
+    log_marginal_gprior_closed, log_marginal_nig, loo_log_predictives, \
+    loo_predictive_exact, posterior_moments, sample_joint_posterior
 from .glm_laplace import ContingencyTable, build_design, fit_map_poisson, \
     fit_mle_poisson, log_marginal_laplace, term_block_prior, \
     unit_info_for_model
@@ -82,6 +82,7 @@ __all__ = [
     "build_design",
     "calibrate_p",
     "cv_score",
+    "cv_score_from_lpd",
     "embed_linear_mean",
     "enumerate_hierarchical_models",
     "enumerate_linear_models",
@@ -103,6 +104,7 @@ __all__ = [
     "log_prior_density",
     "log_prior_model_weight",
     "log_sum_exp",
+    "loo_log_predictives",
     "loo_predictive_exact",
     "model_averaged_mean",
     "neighborhood_prior_prob",

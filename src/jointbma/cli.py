@@ -30,8 +30,8 @@ from .datasets import load_contingency_csv, load_linear_csv, simulate_dfn, \
 from .exceptions import CapacityError, ContractError, ConvergenceError, \
     DegenerateDataError, NumericalDomainError, ParseError, SpecificationError
 from .glm_laplace import term_block_prior, unit_info_for_model
-from .linear_exact import LinearDataset, all_subsets_stats, cv_score, \
-    gprior_sweep
+from .linear_exact import LinearDataset, all_subsets_stats, \
+    cv_score_from_lpd, gprior_sweep, loo_log_predictives
 from .model_space import enumerate_hierarchical_models, \
     enumerate_linear_models, log_prior_model_weight
 from .param_priors import prior_for_linear_model
@@ -261,19 +261,26 @@ def _cmd_cv(cfg):
     if cfg.cv.mode == "gelfand":
         rng = np.random.Generator(np.random.Philox(cfg.seed))
 
-    rows = []
-    for policy in cfg.policies:
-        sweep = gprior_sweep(stats, grid, policy, cfg.prior.alpha,
-                             cfg.prior.lam)
-        for gi, c2 in enumerate(sweep.c2_grid):
-            priors = {m: prior_for_linear_model(data.X, m, c2,
-                                                alpha=cfg.prior.alpha,
-                                                lam=cfg.prior.lam)
-                      for m in stats.models}
-            score = cv_score(sweep.posterior_at(gi), data, priors,
-                             mode=cfg.cv.mode, rng=rng,
-                             num_draws=cfg.cv.num_draws)
-            rows.append((policy.variant, float(c2), float(score.total)))
+    sweeps = [gprior_sweep(stats, grid, policy, cfg.prior.alpha,
+                           cfg.prior.lam) for policy in cfg.policies]
+    sweep = sweeps[0]
+    # The leave-one-out predictives depend on c2 but not on the model
+    # prior, so every policy re-weights one matrix per grid point.
+    scores = [[] for _ in sweeps]
+    for gi, c2 in enumerate(sweep.c2_grid):
+        priors = {m: prior_for_linear_model(data.X, m, c2,
+                                            alpha=cfg.prior.alpha,
+                                            lam=cfg.prior.lam)
+                  for m in stats.models}
+        lpd = loo_log_predictives(stats.models, data, priors,
+                                  mode=cfg.cv.mode, rng=rng,
+                                  num_draws=cfg.cv.num_draws)
+        for policy_scores, policy_sweep in zip(scores, sweeps):
+            policy_scores.append(cv_score_from_lpd(
+                policy_sweep.posterior_at(gi), lpd, cfg.cv.mode).total)
+    rows = [(policy.variant, float(c2), score)
+            for policy, policy_scores in zip(cfg.policies, scores)
+            for c2, score in zip(sweep.c2_grid, policy_scores)]
     return ResultTable(
         columns=("policy", "c2", "S"),
         rows=rows,

@@ -47,6 +47,8 @@ __all__ = [
     "loo_predictive_exact",
     "sample_joint_posterior",
     "cv_score",
+    "loo_log_predictives",
+    "cv_score_from_lpd",
     "all_subsets_stats",
     "gprior_log_marginals",
     "gprior_sweep",
@@ -301,10 +303,20 @@ def cv_score(posterior, data, priors, mode="exact", rng=None, num_draws=2000):
     mode 'exact' evaluates lpd by marginal-likelihood ratios; 'gelfand'
     estimates it from full-posterior draws as the inverse of the
     posterior mean of the inverse observation density, which targets the
-    same full-data-weight decomposition.
+    same full-data-weight decomposition. This is loo_log_predictives
+    followed by cv_score_from_lpd.
     """
-    models = posterior.models
-    lw = posterior.log_probs
+    lpd = loo_log_predictives(posterior.models, data, priors, mode=mode,
+                              rng=rng, num_draws=num_draws)
+    return cv_score_from_lpd(posterior, lpd, mode)
+
+
+def loo_log_predictives(models, data, priors, mode="exact", rng=None,
+                        num_draws=2000):
+    """Matrix lpd[i, j] = log f(y_j | y_{-j}, model i) of per-model
+    leave-one-out log predictives (see cv_score for the two modes). It
+    depends on the parameter priors but not on the model weights, so
+    several model-prior policies can share one matrix."""
     for m in models:
         if m not in priors:
             raise ContractError(f"no prior supplied for model {m.label()}")
@@ -334,9 +346,19 @@ def cv_score(posterior, data, priors, mode="exact", rng=None, num_draws=2000):
     else:
         raise SpecificationError(
             f"unknown cv mode {mode!r}; expected 'exact' or 'gelfand'")
+    return lpd
+
+
+def cv_score_from_lpd(posterior, lpd, mode):
+    """Weight loo_log_predictives' matrix (rows in posterior.models order)
+    by the posterior model probabilities; mode labels the result."""
+    lw = posterior.log_probs
+    if lpd.shape[0] != len(posterior.models):
+        raise ContractError(
+            f"lpd has {lpd.shape[0]} rows for {len(posterior.models)} models")
     lse_lw = log_sum_exp(lw)
     per_obs = np.array([lse_lw - log_sum_exp(lw - lpd[:, j])
-                        for j in range(n)])
+                        for j in range(lpd.shape[1])])
     return CvScore(total=float(-np.sum(per_obs)), per_obs=per_obs, mode=mode)
 
 

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from ._linalg import chol_logdet, inv_pd
+from ._linalg import chol_factor, chol_logdet, chol_solve, factor_logdet
 from .exceptions import CapacityError, ContractError, SpecificationError
 
 __all__ = [
@@ -341,14 +341,15 @@ def log_prior_model_weight(m, policy, prior=None, info=None):
         raise ContractError(f"policy {variant!r} requires an information source")
     if m.d == 0:
         return lp
-    ld_v = chol_logdet(prior.variance(), "prior variance V")
+    L_V = chol_factor(prior.variance(), "prior variance V")
+    ld_v = factor_logdet(L_V)
     if variant in ("adjusted_info", "loglinear_adjusted"):
         # The log-linear form (1/2)log|V| + (1/2)log|X'Diag(l0)X| -
         # (d/2) log n is the same quantity: the cell-count powers cancel
         # against the unit normalization of the information matrix.
         return lp + 0.5 * (ld_v + info.logdet())
     if variant == "adjusted_exact":
-        v_inv = inv_pd(prior.variance(), "prior variance V")
+        v_inv = chol_solve(L_V, np.eye(prior.d))
         mat = info.matrix() + v_inv / info.n
         return lp + 0.5 * (ld_v + chol_logdet(mat, "i + n^{-1}V^{-1}"))
     raise SpecificationError(f"unknown policy variant {variant!r}")

@@ -294,10 +294,20 @@ def log_prior_density(beta, prior):
     if beta.shape != (prior.d,):
         raise ContractError(
             f"beta shape {beta.shape} does not match prior dimension {prior.d}")
-    if prior.d == 0:
+    L, const = _factor_prior(prior)
+    return _log_density_factored(beta, prior.mu, L, const)
+
+
+def _factor_prior(prior):
+    """Cholesky factor L of V and the density constant d log 2pi + log|V|,
+    for callers that evaluate one prior's density many times."""
+    L = chol_factor(prior.variance(), "prior variance V")
+    return L, prior.d * math.log(2.0 * math.pi) + factor_logdet(L)
+
+
+def _log_density_factored(beta, mu, L, const):
+    """Log N(mu, V) density at beta from _factor_prior's terms; beta must
+    already have mu's shape."""
+    if L.shape[0] == 0:
         return 0.0
-    V = prior.variance()
-    L = chol_factor(V, "prior variance V")
-    ld = factor_logdet(L)
-    q = quad_form(L, beta - prior.mu)
-    return -0.5 * (prior.d * math.log(2.0 * math.pi) + ld + q)
+    return -0.5 * (const + quad_form(L, beta - mu))

@@ -23,14 +23,14 @@ import math
 
 import numpy as np
 
-from ._linalg import chol_factor, factor_logdet, inv_pd
+from ._linalg import chol_factor, chol_solve, factor_logdet
 from .exceptions import ContractError
 from .glm_laplace import ContingencyTable, PoissonLogLinear, _newton, \
     build_design, unit_info_for_model
 from .linear_exact import LinearDataset, log_marginal_nig
 from .model_space import log_prior_model_weight
-from .param_priors import InformationSource, linear_design, \
-    log_prior_density
+from .param_priors import InformationSource, _factor_prior, \
+    _log_density_factored, linear_design
 
 __all__ = [
     "SamplerConfig",
@@ -281,13 +281,14 @@ def _run_linear_collapsed(models, priors, policy, data, config, rng,
                    attempt_within=0, accept_within=0)
 
 
-def _laplace_proposal(likelihood, prior):
+def _laplace_proposal(likelihood, prior, L_V):
     """Mode and precision Cholesky of the N(mode, (V^{-1} - H)^{-1})
-    independence proposal for one model."""
+    independence proposal for one model; L_V is the Cholesky factor of
+    the prior variance V."""
     d = likelihood.dim
     if d == 0:
         return np.zeros(0), np.zeros((0, 0)), 0.0
-    v_inv = inv_pd(prior.variance(), "prior variance V")
+    v_inv = chol_solve(L_V, np.eye(d))
     fit = _newton(likelihood, prior.mu.copy(), 1e-8, 100,
                   v_inv=v_inv, mu=prior.mu, kind="map")
     precision = likelihood.neg_hessian(fit.beta) + v_inv
@@ -298,9 +299,19 @@ def _laplace_proposal(likelihood, prior):
 
 def _run_joint(models, priors, lw, likelihoods, config, rng, neighbors,
                kind):
-    modes, chols, lds, step_sds = [], [], [], []
+    # The prior terms are factored once per run and live only as long as
+    # it does; caching them on ParamPrior would keep a factor alive for
+    # every prior a caller holds.
+    modes, chols, lds, step_sds, prior_terms = [], [], [], [], []
     for m in models:
-        mode, L, ld = _laplace_proposal(likelihoods[m], priors[m])
+        prior = priors[m]
+        if likelihoods[m].dim != prior.d:
+            raise ContractError(
+                f"likelihood dimension {likelihoods[m].dim} does not match "
+                f"prior dimension {prior.d} for model {m.label()}")
+        L_V, const = _factor_prior(prior)
+        prior_terms.append((prior.mu, L_V, const))
+        mode, L, ld = _laplace_proposal(likelihoods[m], prior, L_V)
         modes.append(mode)
         chols.append(L)
         lds.append(ld)
@@ -326,7 +337,7 @@ def _run_joint(models, priors, lw, likelihoods, config, rng, neighbors,
         return -0.5 * (d * math.log(2.0 * math.pi) - lds[i] + float(u @ u))
 
     def log_target(i, beta):
-        return (lw[i] + log_prior_density(beta, priors[models[i]])
+        return (lw[i] + _log_density_factored(beta, *prior_terms[i])
                 + likelihoods[models[i]].loglik(beta))
 
     idx = config.start_index

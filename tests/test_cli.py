@@ -179,6 +179,52 @@ def test_cv_gelfand_runs_with_seed(tmp_path, capsys):
     assert "seed is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["exact", "gelfand"])
+def test_cv_policies_share_one_loo_matrix_per_grid_point(
+        tmp_path, capsys, monkeypatch, mode):
+    from jointbma import cli as cli_module
+    from jointbma import linear_exact
+
+    data_path = str(tmp_path / "data.csv")
+    write_linear_csv(small_dataset(n=20, p=2), data_path)
+    base = ("[experiment]\ntask = cv\nseed = 11\n\n"
+            f"[data]\nsource = csv\npath = {data_path}\n\n"
+            "[prior]\ntemplate = gprior\nc2_grid = 1e0,1e2,3\n\n"
+            "[policy]\nvariants = {variants}\n\n"
+            f"[cv]\nmode = {mode}\nnum_draws = 200\n")
+    single = []
+    for variant in ("uniform", "adjusted_c"):
+        cfg = write_config(tmp_path, base.format(variants=variant),
+                           name=f"{variant}.ini")
+        assert main(["cv", "--config", cfg]) == 0
+        single += read_csv_output(capsys.readouterr().out)[2]
+
+    calls = {"lpd": 0, "fold": 0}
+    real_lpd = cli_module.loo_log_predictives
+    real_fold = linear_exact.loo_predictive_exact
+
+    def counting_lpd(*args, **kwargs):
+        calls["lpd"] += 1
+        return real_lpd(*args, **kwargs)
+
+    def counting_fold(*args, **kwargs):
+        calls["fold"] += 1
+        return real_fold(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "loo_log_predictives", counting_lpd)
+    monkeypatch.setattr(linear_exact, "loo_predictive_exact", counting_fold)
+    cfg = write_config(tmp_path, base.format(variants="uniform, adjusted_c"))
+    assert main(["cv", "--config", cfg]) == 0
+    _, _, rows = read_csv_output(capsys.readouterr().out)
+    # Policy-major rows, each equal to the single-policy run's row (in
+    # gelfand mode too: the policies share the draws of one grid point).
+    assert rows == single
+    assert [r[0] for r in rows] == ["uniform"] * 3 + ["adjusted_c"] * 3
+    # Three grid points, 2^2 models, 20 folds: one matrix per grid point.
+    folds = 3 * 4 * 20 if mode == "exact" else 0
+    assert calls == {"lpd": 3, "fold": folds}
+
+
 def test_rjmcmc_linear_route(tmp_path, capsys):
     data_path = str(tmp_path / "data.csv")
     write_linear_csv(small_dataset(n=40, p=2), data_path)

@@ -10,18 +10,21 @@ count scales used.
 import io
 import csv
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import jointbma
 from jointbma.averaging import normalize_posterior
 from jointbma.exceptions import ContractError
 from jointbma.glm_laplace import ContingencyTable, GaussianKnownVar, \
-    build_design, fit_mle_poisson
+    PoissonLogLinear, build_design, fit_mle_poisson, term_block_prior
 from jointbma.linear_exact import LinearDataset, log_marginal_nig
 from jointbma.model_space import FactorSpec, ModelId, ModelPriorPolicy, \
-    enumerate_hierarchical_models
-from jointbma.param_priors import ParamPrior, prior_for_linear_model
+    enumerate_hierarchical_models, log_prior_model_weight
+from jointbma.param_priors import ParamPrior, log_prior_density, \
+    prior_for_linear_model
 from jointbma.rj_sampler import RjChain, SamplerConfig, batch_means_se, \
     chain_to_csv, estimate_model_probs, rjmcmc_run, rwm_step
 
@@ -230,6 +233,65 @@ def test_table_route_matches_laplace_enumeration():
         assert abs(est.probs[i] - exact.probs[i]) < tol
 
 
+def three_way_table():
+    """A 2x2x2 Poisson table, its eight hierarchical models (every
+    two-factor interaction optional) and their term-block priors."""
+    spec = FactorSpec(factors=(("A", 2), ("B", 2), ("C", 2)),
+                      forced_terms=((), ("A",), ("B",), ("C",)),
+                      candidate_terms=(("A", "B"), ("A", "C"), ("B", "C")))
+    models = enumerate_hierarchical_models(spec)
+    rng = np.random.default_rng(77)
+    main = ModelId.loglinear(spec, [(), ("A",), ("B",), ("C",)])
+    eta = build_design(spec, main).X @ np.array([3.0, 0.4, -0.3, 0.2])
+    table = ContingencyTable(spec=spec,
+                             counts=rng.poisson(np.exp(eta)).astype(float))
+    priors = {m: term_block_prior(spec, m, scales=2.0) for m in models}
+    return table, models, priors
+
+
+def test_table_chain_log_target_equals_public_density():
+    # The chain evaluates the prior density from factors cached for the
+    # run; the public log_prior_density, which factors V on every call,
+    # is the oracle and must agree bit for bit.
+    table, models, priors = three_way_table()
+    policy = ModelPriorPolicy(variant="adjusted_c")
+    config = SamplerConfig(iterations=400, seed=17, store_coefficients=True)
+    chain = rjmcmc_run(list(models), priors, policy, table, config)
+    assert chain.accept_jump > 0 and chain.accept_within > 0
+    for it in range(config.iterations):
+        m = chain.models[chain.model_index[it]]
+        beta = chain.coefficients[it]
+        loglik = PoissonLogLinear(build_design(table.spec, m).X,
+                                  table.counts).loglik
+        expected = (log_prior_model_weight(m, policy, prior=priors[m])
+                    + log_prior_density(beta, priors[m]) + loglik(beta))
+        assert chain.log_target[it] == expected, it
+
+
+def test_table_chain_factors_each_prior_once(monkeypatch):
+    table, models, priors = three_way_table()
+    real = jointbma._linalg.chol_factor
+    factored = []
+
+    def counting(a, what="matrix"):
+        if what == "prior variance V":
+            factored.append(a.shape[0])
+        return real(a, what)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("jointbma") and \
+                getattr(module, "chol_factor", None) is real:
+            monkeypatch.setattr(module, "chol_factor", counting)
+    policy = ModelPriorPolicy(variant="uniform")
+    counts = []
+    for iterations in (200, 2000):
+        factored.clear()
+        rjmcmc_run(list(models), priors, policy, table,
+                   SamplerConfig(iterations=iterations, seed=5))
+        counts.append(len(factored))
+    assert counts[0] == counts[1] == len(models)
+
+
 def test_chain_to_csv_round_trip():
     likelihoods, priors, _, models = gaussian_pair_space()
     config = SamplerConfig(iterations=50, seed=51, store_coefficients=True)
@@ -274,6 +336,10 @@ def test_error_paths():
     with pytest.raises(ContractError, match="start_index"):
         rjmcmc_run(list(models), priors, policy, dict(likelihoods),
                    SamplerConfig(iterations=10, start_index=5))
+    with pytest.raises(ContractError, match="likelihood dimension 2"):
+        rjmcmc_run(list(models), {models[0]: priors[models[0]],
+                                  models[1]: priors[models[0]]}, policy,
+                   dict(likelihoods), config)
     with pytest.raises(ContractError, match="polic"):
         rjmcmc_run(list(models), priors,
                    ModelPriorPolicy(variant="adjusted_info"),
