@@ -14,13 +14,14 @@ puts near the null manifold, which is what the dispersion adjustment is
 compensating for.
 """
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
 
 from ._linalg import log_sum_exp
 from .exceptions import ContractError
-from .model_space import LINEAR
+from .model_space import LINEAR, model_positions
 from .special import chi2_cdf, chi2_cdf_small_x
 
 __all__ = [
@@ -90,10 +91,14 @@ class ModelPosterior:
         return np.exp(self.log_probs)
 
     def prob_of(self, m):
-        for model, lp in zip(self.models, self.log_probs):
-            if model == m:
-                return math.exp(lp)
-        raise ContractError(f"model {m.label()} not in posterior support")
+        pos = self._positions.get(m)
+        if pos is None:
+            raise ContractError(f"model {m.label()} not in posterior support")
+        return math.exp(self.log_probs[pos])
+
+    @cached_property
+    def _positions(self):
+        return model_positions(self.models)
 
     def map_model(self):
         return self.models[int(np.argmax(self.log_probs))]

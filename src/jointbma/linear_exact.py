@@ -23,6 +23,7 @@ cheap: one batched least-squares pass yields every marginal for every
 dispersion scale.
 """
 from dataclasses import dataclass
+from functools import cached_property
 from math import lgamma, log, pi
 import math
 
@@ -32,7 +33,7 @@ from ._linalg import chol_factor, chol_solve, factor_logdet, log_sum_exp
 from .averaging import LogMarginal, ModelPosterior
 from .exceptions import ContractError, DegenerateDataError, JointBmaError, \
     SpecificationError
-from .model_space import enumerate_linear_models
+from .model_space import enumerate_linear_models, model_positions
 from .param_priors import linear_design
 
 __all__ = [
@@ -53,6 +54,10 @@ __all__ = [
     "gprior_log_marginals",
     "gprior_sweep",
 ]
+
+# Policy variants whose weight depends on the model only through d under
+# the g-prior base, so gprior_sweep evaluates them in closed form.
+GPRIOR_SWEEP_VARIANTS = ("uniform", "adjusted_c", "adjusted_info")
 
 
 @dataclass(frozen=True)
@@ -456,10 +461,14 @@ class SweepResult:
                               convention=self.convention)
 
     def prob_trace(self, m):
-        for pos, model in enumerate(self.models):
-            if model == m:
-                return np.exp(self.log_posterior[:, pos])
-        raise ContractError(f"model {m.label()} not in sweep support")
+        pos = self._positions.get(m)
+        if pos is None:
+            raise ContractError(f"model {m.label()} not in sweep support")
+        return np.exp(self.log_posterior[:, pos])
+
+    @cached_property
+    def _positions(self):
+        return model_positions(self.models)
 
     def map_models(self):
         return [self.models[i] for i in np.argmax(self.log_posterior, axis=1)]
@@ -484,15 +493,12 @@ def gprior_sweep(data, c2_grid, policy, alpha=0.0, lam=0.0):
         raise ContractError("c2_grid must contain positive scales")
     stats = data if isinstance(data, AllSubsets) else all_subsets_stats(data)
     baseline = np.array([policy.baseline.log_p(m) for m in stats.models])
-    if policy.variant == "uniform":
-        d_scale = 0.0
-    elif policy.variant in ("adjusted_c", "adjusted_info"):
-        d_scale = 0.5 * stats.d
-    else:
+    if policy.variant not in GPRIOR_SWEEP_VARIANTS:
         raise SpecificationError(
             f"policy variant {policy.variant!r} needs per-model matrices; "
             "the closed-form sweep supports uniform, adjusted_c, and "
             "adjusted_info")
+    d_scale = 0.0 if policy.variant == "uniform" else 0.5 * stats.d
     log_weights = np.zeros((c2_grid.size, len(stats.models)))
     convention = None
     for gi, c2 in enumerate(c2_grid):

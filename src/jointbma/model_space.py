@@ -17,6 +17,7 @@ posterior model probabilities stable as the parameter prior flattens,
 instead of collapsing onto the smallest model.
 """
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 import math
 
@@ -198,6 +199,15 @@ def is_hierarchical(terms):
     return all(all(sub in have for sub in term_margins(t)) for t in have)
 
 
+def model_positions(models):
+    """Map each model to its first position in models, for O(1) lookups
+    that keep a linear scan's first-match result."""
+    index = {}
+    for pos, m in enumerate(models):
+        index.setdefault(m, pos)
+    return index
+
+
 def enumerate_linear_models(p, include_intercept=True):
     """All 2^p covariate subsets in canonical order (dimension, then
     lexicographic members). Hard cap p <= 25; larger spaces need the
@@ -285,11 +295,17 @@ class Baseline:
         if self.kind == "calibrated":
             return calibrate_p(m.d, self.n0, self.psi0)
         if self.kind == "table":
-            for key, value in self.table:
-                if key == m:
-                    return float(value)
-            raise ContractError(f"model {m.label()} missing from baseline table")
+            try:
+                return float(self._table_index[m])
+            except KeyError:
+                raise ContractError(
+                    f"model {m.label()} missing from baseline table") from None
         raise SpecificationError(f"unknown baseline kind {self.kind!r}")
+
+    @cached_property
+    def _table_index(self):
+        # Reversed, so the first entry for a model wins, as in a scan.
+        return dict(reversed(self.table))
 
 
 @dataclass(frozen=True)

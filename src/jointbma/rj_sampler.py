@@ -19,6 +19,7 @@ iteration consumes.
 """
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from .exceptions import ContractError
 from .glm_laplace import ContingencyTable, PoissonLogLinear, _newton, \
     build_design, unit_info_for_model
 from .linear_exact import LinearDataset, log_marginal_nig
-from .model_space import log_prior_model_weight
+from .model_space import log_prior_model_weight, model_positions
 from .param_priors import InformationSource, _factor_prior, \
     _log_density_factored, linear_design
 
@@ -118,10 +119,14 @@ class ModelProbEstimate:
     batch_length: int
 
     def prob_of(self, m):
-        for model, p in zip(self.models, self.probs):
-            if model == m:
-                return float(p)
-        raise ContractError(f"model {m.label()} not in sampler support")
+        pos = self._positions.get(m)
+        if pos is None:
+            raise ContractError(f"model {m.label()} not in sampler support")
+        return float(self.probs[pos])
+
+    @cached_property
+    def _positions(self):
+        return model_positions(self.models)
 
 
 def rwm_step(log_target, beta, value, step_sd, rng):
@@ -217,12 +222,12 @@ def rjmcmc_run(space, priors, policy, data, config):
         raise ContractError(
             f"start_index {config.start_index} out of range for "
             f"{len(models)} models")
+    if isinstance(data, LinearDataset):
+        return _run_linear_collapsed(
+            models, _linear_log_targets(models, priors, policy, data),
+            config)
     rng = np.random.Generator(np.random.Philox(config.seed))
     neighbors = _neighbor_lists(models)
-
-    if isinstance(data, LinearDataset):
-        return _run_linear_collapsed(models, priors, policy, data, config,
-                                     rng, neighbors)
     if isinstance(data, ContingencyTable):
         likelihoods = {}
         for m in models:
@@ -248,8 +253,8 @@ def rjmcmc_run(space, priors, policy, data, config):
         "LinearDataset, ContingencyTable, or a likelihood dict")
 
 
-def _run_linear_collapsed(models, priors, policy, data, config, rng,
-                          neighbors):
+def _linear_log_targets(models, priors, policy, data):
+    """Per-model log prior weight plus exact conjugate log marginal."""
     lw = _policy_weights(models, priors, policy, data)
     marginals = [log_marginal_nig(data, m, priors[m]) for m in models]
     conventions = {ml.convention for ml in marginals}
@@ -257,8 +262,16 @@ def _run_linear_collapsed(models, priors, policy, data, config, rng,
         raise ContractError(
             "mixed sigma^2 conventions across the space; use one prior "
             "family")
-    log_target_by_model = lw + np.array([ml.value for ml in marginals])
+    return lw + np.array([ml.value for ml in marginals])
 
+
+def _run_linear_collapsed(models, log_targets, config):
+    """Metropolized walk on the model graph with fixed per-model log
+    targets (log prior weight plus exact log marginal, in models order):
+    every iteration proposes a uniformly chosen neighbor, so jump_prob
+    and within_model_scale play no part."""
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    neighbors = _neighbor_lists(models)
     idx = config.start_index
     trace = np.zeros(config.iterations, dtype=np.int64)
     targets = np.zeros(config.iterations)
@@ -268,13 +281,13 @@ def _run_linear_collapsed(models, priors, policy, data, config, rng,
         if nbr:
             attempt += 1
             prop = nbr[int(rng.integers(len(nbr)))]
-            log_alpha = (log_target_by_model[prop] - log_target_by_model[idx]
+            log_alpha = (log_targets[prop] - log_targets[idx]
                          + math.log(len(nbr)) - math.log(len(neighbors[prop])))
             if math.log(rng.random()) < log_alpha:
                 idx = prop
                 accept += 1
         trace[it] = idx
-        targets[it] = log_target_by_model[idx]
+        targets[it] = log_targets[idx]
     return RjChain(models=models, model_index=trace, log_target=targets,
                    config=config, kind="linear_collapsed",
                    attempt_jump=attempt, accept_jump=accept,

@@ -5,6 +5,7 @@ stdout/stderr are observable without spawning an interpreter; only the
 import-footprint check starts a fresh one.
 """
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -15,9 +16,16 @@ import pytest
 
 import jointbma
 from jointbma import LinearDataset
-from jointbma.cli import main
-from jointbma.datasets import write_linear_csv
+from jointbma.cli import _gprior_log_targets, main
+from jointbma.config import PriorConfig
+from jointbma.datasets import load_linear_csv, write_linear_csv
 from jointbma.exceptions import ConvergenceError
+from jointbma.linear_exact import GPRIOR_SWEEP_VARIANTS, log_marginal_nig
+from jointbma.model_space import Baseline, ModelPriorPolicy, \
+    enumerate_linear_models
+from jointbma.param_priors import prior_for_linear_model
+from jointbma.rj_sampler import SamplerConfig, _policy_weights, \
+    _run_linear_collapsed, estimate_model_probs, rjmcmc_run
 
 
 def small_dataset(seed=4, n=40, p=3):
@@ -244,6 +252,156 @@ def test_rjmcmc_linear_route(tmp_path, capsys):
     assert all(float(r[3]) >= 0.0 for r in rows)
     # The generating model 1+X1 should lead this easy posterior.
     assert rows[0][0] == "1+X1"
+
+
+def collinear_dataset(p, seed, n=30):
+    rng = np.random.Generator(np.random.Philox(seed))
+    X = rng.standard_normal((n, p))
+    X[:, -1] += 0.6 * X[:, 0]
+    y = 1.0 + X[:, 0] - 0.5 * X[:, p - 1] + rng.standard_normal(n)
+    return LinearDataset(y=y, X=X)
+
+
+def rjmcmc_config(tmp_path, data_path, c2="9", variant="adjusted_info",
+                  template="gprior", sigma2="", name="rj.ini"):
+    return write_config(tmp_path, (
+        "[experiment]\ntask = rjmcmc\nseed = 7\n\n"
+        f"[data]\nsource = csv\npath = {data_path}\n\n"
+        f"[prior]\ntemplate = {template}\nc2 = {c2}\n{sigma2}\n"
+        f"[policy]\nvariants = {variant}\n\n"
+        "[rjmcmc]\niterations = 3000\nburn_in = 300\n"), name=name)
+
+
+def test_rjmcmc_gprior_targets_match_per_model_route():
+    # The all-subsets log targets against the generic route they replace:
+    # per-model weights plus conjugate marginals on per-model priors.
+    baselines = (Baseline.constant(), Baseline.dimension(-0.4),
+                 Baseline.calibrated(24.0, 1.5))
+    worst = 0.0
+    for p, c2, (alpha, lam) in itertools.product(
+            (3, 5, 8), (0.5, 1e2, 1e6), ((0.0, 0.0), (2.0, 3.0))):
+        data = collinear_dataset(p, seed=p)
+        models = enumerate_linear_models(p)
+        priors = {m: prior_for_linear_model(data.X, m, c2, alpha=alpha,
+                                            lam=lam) for m in models}
+        marginals = np.array([log_marginal_nig(data, m, priors[m]).value
+                              for m in models])
+        prior_cfg = PriorConfig(c2=c2, alpha=alpha, lam=lam)
+        for variant, baseline in itertools.product(GPRIOR_SWEEP_VARIANTS,
+                                                   baselines):
+            policy = ModelPriorPolicy(variant=variant, baseline=baseline)
+            fast = _gprior_log_targets(data, prior_cfg, policy)
+            assert fast is not None
+            assert list(fast[0]) == models
+            generic = _policy_weights(models, priors, policy, data) \
+                + marginals
+            worst = max(worst, float(np.max(np.abs(fast[1] - generic))))
+    assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("variant,c2,sigma2", [
+    ("adjusted_info", "1e4", ""),
+    ("uniform", "0.5", "alpha = 2\nlambda = 3\n"),
+    ("adjusted_c", "1e6", ""),
+])
+def test_rjmcmc_gprior_route_rows_equal_generic_chain(tmp_path, capsys,
+                                                      variant, c2, sigma2):
+    data_path = str(tmp_path / "d.csv")
+    write_linear_csv(collinear_dataset(5, seed=8), data_path)
+    cfg = rjmcmc_config(tmp_path, data_path, c2=c2, variant=variant,
+                        sigma2=sigma2)
+    assert main(["rjmcmc", "--config", cfg]) == 0
+    prov, _, rows = read_csv_output(capsys.readouterr().out)
+
+    data = load_linear_csv(data_path)
+    alpha, lam = (2.0, 3.0) if sigma2 else (0.0, 0.0)
+    models = enumerate_linear_models(data.p)
+    priors = {m: prior_for_linear_model(data.X, m, float(c2), alpha=alpha,
+                                        lam=lam) for m in models}
+    policy = ModelPriorPolicy(variant=variant)
+    config = SamplerConfig(iterations=3000, burn_in=300, seed=7)
+    generic = rjmcmc_run(models, priors, policy, data, config)
+    est = estimate_model_probs(generic)
+    expected = [[est.models[i].label(), str(est.models[i].d),
+                 "%.17g" % est.probs[i], "%.17g" % est.se[i]]
+                for i in np.argsort(-est.probs, kind="stable")
+                if est.probs[i] > 0.0]
+    assert rows == expected
+    assert prov["jump_rate"] == "%.17g" % generic.jump_rate()
+
+    fast = _run_linear_collapsed(*_gprior_log_targets(
+        data, PriorConfig(c2=float(c2), alpha=alpha, lam=lam), policy),
+        config)
+    assert np.array_equal(fast.model_index, generic.model_index)
+    assert np.max(np.abs(fast.log_target - generic.log_target)) <= 1e-10
+
+
+@pytest.mark.parametrize("case,c2,expected", [
+    ("near_duplicate", "9", 3),
+    ("shifted", "9", 3),
+    ("rescaled", "9", 3),
+    ("constant_response", "9", 0),
+    ("perfect_fit", "1e20", 3),
+    ("well_posed", "9", 0),
+])
+def test_rjmcmc_gprior_route_rejects_what_per_model_route_rejects(
+        tmp_path, capsys, case, c2, expected):
+    # Exit codes are the per-model route's: inputs it rejects must not
+    # slip through the all-subsets route, and inputs it accepts (a
+    # constant response has no R^2 but a finite marginal) must run.
+    rng = np.random.Generator(np.random.Philox(4))
+    X = rng.standard_normal((40, 4))
+    noise = rng.standard_normal(40)
+    y = 1.0 + 2.0 * X[:, 0] + noise
+    if case == "near_duplicate":
+        X[:, 3] = X[:, 0] + 1e-9 * noise
+    elif case == "shifted":
+        X[:, 1] += 1e6
+    elif case == "rescaled":
+        X[:, 2] *= 1e-7
+    elif case == "constant_response":
+        y = np.full(40, 3.0)
+    elif case == "perfect_fit":
+        y = 1.0 + 2.0 * X[:, 0]
+    data = LinearDataset(y=y, X=X)
+    data_path = str(tmp_path / "d.csv")
+    write_linear_csv(data, data_path)
+    cfg = rjmcmc_config(tmp_path, data_path, c2=c2)
+    assert main(["rjmcmc", "--config", cfg]) == expected
+    fast = _gprior_log_targets(load_linear_csv(data_path),
+                               PriorConfig(c2=float(c2)),
+                               ModelPriorPolicy(variant="adjusted_info"))
+    assert (fast is not None) == (case == "well_posed")
+
+
+@pytest.mark.parametrize("template,variant,per_model", [
+    ("gprior", "adjusted_info", False),
+    ("gprior", "uniform", False),
+    ("identity", "adjusted_info", True),
+    ("gprior", "adjusted_exact", True),
+])
+def test_rjmcmc_gprior_route_builds_no_per_model_prior(
+        tmp_path, capsys, monkeypatch, template, variant, per_model):
+    calls = {"prior": 0, "moments": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(jointbma.cli, "prior_for_linear_model",
+                        counted("prior", jointbma.cli.prior_for_linear_model))
+    monkeypatch.setattr(jointbma.linear_exact, "posterior_moments",
+                        counted("moments",
+                                jointbma.linear_exact.posterior_moments))
+    data_path = str(tmp_path / "d.csv")
+    write_linear_csv(collinear_dataset(3, seed=2), data_path)
+    cfg = rjmcmc_config(tmp_path, data_path, variant=variant,
+                        template=template)
+    assert main(["rjmcmc", "--config", cfg]) == 0
+    expected = 2 ** 3 if per_model else 0
+    assert calls == {"prior": expected, "moments": expected}
 
 
 def test_prior_probs_small_space(tmp_path, capsys):

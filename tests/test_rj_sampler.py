@@ -20,9 +20,11 @@ from jointbma.averaging import normalize_posterior
 from jointbma.exceptions import ContractError
 from jointbma.glm_laplace import ContingencyTable, GaussianKnownVar, \
     PoissonLogLinear, build_design, fit_mle_poisson, term_block_prior
-from jointbma.linear_exact import LinearDataset, log_marginal_nig
-from jointbma.model_space import FactorSpec, ModelId, ModelPriorPolicy, \
-    enumerate_hierarchical_models, log_prior_model_weight
+from jointbma.linear_exact import LinearDataset, gprior_sweep, \
+    log_marginal_nig
+from jointbma.model_space import Baseline, FactorSpec, ModelId, \
+    ModelPriorPolicy, enumerate_hierarchical_models, \
+    enumerate_linear_models, log_prior_model_weight
 from jointbma.param_priors import ParamPrior, log_prior_density, \
     prior_for_linear_model
 from jointbma.rj_sampler import RjChain, SamplerConfig, batch_means_se, \
@@ -76,6 +78,29 @@ def synthetic_chain(model_index, models):
                    config=SamplerConfig(iterations=model_index.shape[0]),
                    kind="custom", attempt_jump=0, accept_jump=0,
                    attempt_within=0, accept_within=0)
+
+
+def test_model_lookups_match_positions_and_reject_missing_models():
+    rng = np.random.Generator(np.random.Philox(12))
+    X = rng.standard_normal((25, 3))
+    data = LinearDataset(y=X[:, 1] + rng.standard_normal(25), X=X)
+    models = enumerate_linear_models(3)
+    table = Baseline.from_table({m: -0.25 * i for i, m in enumerate(models)})
+    sweep = gprior_sweep(data, [1.0, 100.0],
+                         ModelPriorPolicy(variant="adjusted_c",
+                                          baseline=table))
+    post = sweep.posterior_at(1)
+    est = estimate_model_probs(synthetic_chain(np.arange(200) % 8, models))
+    for pos, m in enumerate(models):
+        assert table.log_p(m) == -0.25 * pos
+        assert np.array_equal(sweep.prob_trace(m),
+                              np.exp(sweep.log_posterior[:, pos]))
+        assert post.prob_of(m) == math.exp(post.log_probs[pos])
+        assert est.prob_of(m) == est.probs[pos]
+    missing = ModelId.linear([0, 1, 2, 3])
+    for lookup in (table.log_p, sweep.prob_trace, post.prob_of, est.prob_of):
+        with pytest.raises(ContractError):
+            lookup(missing)
 
 
 def test_estimate_model_probs_counting_oracle():
