@@ -29,14 +29,14 @@ from .datasets import load_contingency_csv, load_linear_csv, simulate_dfn, \
     simulate_nott_kohn
 from .exceptions import CapacityError, ContractError, ConvergenceError, \
     DegenerateDataError, NumericalDomainError, ParseError, SpecificationError
-from .glm_laplace import term_block_prior, unit_info_for_model
+from .glm_laplace import term_block_prior
 from .linear_exact import GPRIOR_SWEEP_VARIANTS, LinearDataset, \
     all_subsets_stats, cv_score_from_lpd, gprior_sweep, loo_log_predictives
 from .model_space import enumerate_hierarchical_models, \
-    enumerate_linear_models, log_prior_model_weight
+    enumerate_linear_models
 from .param_priors import prior_for_linear_model
-from .rj_sampler import SamplerConfig, _run_linear_collapsed, \
-    estimate_model_probs, rjmcmc_run
+from .rj_sampler import SamplerConfig, _policy_weights, \
+    _run_linear_collapsed, estimate_model_probs, rjmcmc_run
 
 __all__ = ["ResultTable", "run_sweep", "main"]
 
@@ -426,21 +426,13 @@ def _cmd_prior_probs(cfg):
             "prior-probs uses per-term priors; set [prior] "
             "template=term_blocks")
     models = enumerate_hierarchical_models(cfg.space)
+    priors = {m: term_block_prior(cfg.space, m, cfg.prior.scales,
+                                  metric=cfg.prior.metric,
+                                  means=cfg.prior.means, c2=cfg.prior.c2)
+              for m in models}
     rows = []
     for policy in cfg.policies:
-        log_w = np.zeros(len(models))
-        for i, m in enumerate(models):
-            prior = term_block_prior(cfg.space, m, cfg.prior.scales,
-                                     metric=cfg.prior.metric,
-                                     means=cfg.prior.means,
-                                     c2=cfg.prior.c2)
-            info = None
-            if m.d > 0 and policy.variant in ("adjusted_info",
-                                              "adjusted_exact",
-                                              "loglinear_adjusted"):
-                info = unit_info_for_model(cfg.space, m, beta_ref=prior.mu)
-            log_w[i] = log_prior_model_weight(m, policy, prior=prior,
-                                              info=info)
+        log_w = _policy_weights(models, priors, policy, cfg.space)
         probs = np.exp(log_w - log_sum_exp(log_w))
         rows.extend((policy.variant, m.label(), int(m.d), float(probs[i]))
                     for i, m in enumerate(models))

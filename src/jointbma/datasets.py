@@ -172,7 +172,7 @@ def load_contingency_csv(path, spec, levels):
         except ValueError:
             raise ParseError(
                 f"{path} row {r}: non-numeric count {text!r}")
-        if value < 0 or value != int(value):
+        if value < 0 or not value.is_integer():
             raise ParseError(
                 f"{path} row {r}: count must be a nonnegative integer, "
                 f"got {text!r}")

@@ -22,8 +22,7 @@ import math
 
 import numpy as np
 
-from ._linalg import chol_factor, chol_logdet, chol_solve, factor_logdet, \
-    inv_pd, quad_form
+from ._linalg import chol_factor, chol_solve, factor_logdet, quad_form
 from .averaging import LogMarginal
 from .exceptions import (ContractError, ConvergenceError, DegenerateDataError,
                          SpecificationError)
@@ -307,6 +306,17 @@ def fit_mle_poisson(X, y, tol=1e-8, max_iter=100):
     return _newton(model, np.zeros(model.dim), tol, max_iter, kind="mle")
 
 
+def _map_laplace(model, prior, L_V, tol=1e-8, max_iter=100):
+    """Newton fit of the posterior mode under the N(mu, V) prior, started
+    at mu, given the Cholesky factor L_V of V. Returns the fit and the
+    Cholesky factor of the curvature V^{-1} - H at the mode."""
+    v_inv = chol_solve(L_V, np.eye(model.dim))
+    fit = _newton(model, prior.mu.copy(), tol, max_iter,
+                  v_inv=v_inv, mu=prior.mu, kind="map")
+    curvature = model.neg_hessian(fit.beta) + v_inv
+    return fit, chol_factor(curvature, "Laplace curvature")
+
+
 def fit_map_poisson(X, y, prior, tol=1e-8, max_iter=100):
     """Posterior mode under a N(mu, V) prior, started at the prior mean.
     The penalized objective is strictly concave, so this is global."""
@@ -315,12 +325,8 @@ def fit_map_poisson(X, y, prior, tol=1e-8, max_iter=100):
         raise ContractError(
             f"prior dimension {prior.d} does not match design columns "
             f"{model.dim}")
-    if model.dim == 0:
-        return GlmFit(beta=np.zeros(0), value=model.loglik(np.zeros(0)),
-                      grad_norm=0.0, iterations=0, kind="map")
-    v_inv = inv_pd(prior.variance(), "prior variance V")
-    return _newton(model, prior.mu.copy(), tol, max_iter,
-                   v_inv=v_inv, mu=prior.mu, kind="map")
+    L_V = chol_factor(prior.variance(), "prior variance V")
+    return _map_laplace(model, prior, L_V, tol, max_iter)[0]
 
 
 def log_marginal_laplace_model(model, prior, variant="at_map",
@@ -335,27 +341,17 @@ def log_marginal_laplace_model(model, prior, variant="at_map",
         raise ContractError(
             f"prior dimension {prior.d} does not match design columns "
             f"{model.dim}")
-    if model.dim == 0:
-        # Nothing to integrate out; the marginal is the likelihood.
-        return LogMarginal(value=model.loglik(np.zeros(0)),
-                           method="laplace" if variant == "at_mle"
-                           else "laplace_penalized",
-                           convention="proper")
     Lv = chol_factor(prior.variance(), "prior variance V")
-    ld_v = factor_logdet(Lv)
     if variant == "at_map":
-        v_inv = chol_solve(Lv, np.eye(model.dim))
-        fit = _newton(model, prior.mu.copy(), tol, max_iter,
-                      v_inv=v_inv, mu=prior.mu, kind="map")
-        curvature = model.neg_hessian(fit.beta) + v_inv
+        fit, L = _map_laplace(model, prior, Lv, tol, max_iter)
         method = "laplace_penalized"
     else:
         fit = _newton(model, np.zeros(model.dim), tol, max_iter, kind="mle")
-        curvature = model.neg_hessian(fit.beta)
+        L = chol_factor(model.neg_hessian(fit.beta), "Laplace curvature")
         method = "laplace"
     quad = quad_form(Lv, fit.beta - prior.mu)
-    value = (model.loglik(fit.beta) - 0.5 * ld_v - 0.5 * quad
-             - 0.5 * chol_logdet(curvature, "Laplace curvature"))
+    value = (model.loglik(fit.beta) - 0.5 * factor_logdet(Lv) - 0.5 * quad
+             - 0.5 * factor_logdet(L))
     return LogMarginal(value=value, method=method, convention="proper")
 
 

@@ -34,7 +34,7 @@ from .averaging import LogMarginal, ModelPosterior
 from .exceptions import ContractError, DegenerateDataError, JointBmaError, \
     SpecificationError
 from .model_space import enumerate_linear_models, model_positions
-from .param_priors import linear_design
+from .param_priors import _check_sigma2_prior, linear_design
 
 __all__ = [
     "LinearDataset",
@@ -135,12 +135,7 @@ class LinearPosterior:
 def _sigma2_head(n, alpha, lam):
     # Terms of the marginal that depend only on the sigma^2 prior; the
     # improper reference drops the prior normalizer it does not have.
-    if (alpha > 0.0) != (lam > 0.0):
-        raise ContractError(
-            f"alpha and lam must both be positive or both zero, got "
-            f"alpha={alpha}, lam={lam}")
-    if alpha < 0.0 or lam < 0.0:
-        raise ContractError("alpha and lam must be nonnegative")
+    alpha, lam = _check_sigma2_prior(alpha, lam)
     if alpha > 0.0:
         return lgamma(alpha + 0.5 * n) - lgamma(alpha) + alpha * log(2.0 * lam), \
             "proper"
@@ -158,23 +153,16 @@ def posterior_moments(data, m, prior):
     y = data.y
     yty = data.yty
 
-    if d > 0:
-        L_v = chol_factor(prior.variance(), "prior variance V")
-        v_inv = chol_solve(L_v, np.eye(d))
-        ld_v = factor_logdet(L_v)
-        prec = v_inv + Xm.T @ Xm
-        L_prec = chol_factor(prec, "posterior precision")
-        b = v_inv @ prior.mu + Xm.T @ y
-        beta_tilde = chol_solve(L_prec, b)
-        Vstar = chol_solve(L_prec, np.eye(d))
-        Vstar = 0.5 * (Vstar + Vstar.T)
-        ld_vstar = -factor_logdet(L_prec)
-        s = yty + float(prior.mu @ (v_inv @ prior.mu)) - float(beta_tilde @ b)
-    else:
-        beta_tilde = np.zeros(0)
-        Vstar = np.zeros((0, 0))
-        ld_v = ld_vstar = 0.0
-        s = yty
+    L_v = chol_factor(prior.variance(), "prior variance V")
+    v_inv = chol_solve(L_v, np.eye(d))
+    ld_v = factor_logdet(L_v)
+    L_prec = chol_factor(v_inv + Xm.T @ Xm, "posterior precision")
+    b = v_inv @ prior.mu + Xm.T @ y
+    beta_tilde = chol_solve(L_prec, b)
+    Vstar = chol_solve(L_prec, np.eye(d))
+    Vstar = 0.5 * (Vstar + Vstar.T)
+    ld_vstar = -factor_logdet(L_prec)
+    s = yty + float(prior.mu @ (v_inv @ prior.mu)) - float(beta_tilde @ b)
 
     # s is a residual sum of squares in exact arithmetic; tolerate
     # rounding at perfect fit but not gross violations.
@@ -244,7 +232,7 @@ def log_marginal_gprior_closed(data, m, c2, alpha=0.0, lam=0.0):
         raise ContractError(f"c2 must be positive and finite, got {c2}")
     n = data.n
     r2, tss = _centered_fit(data, m.members)
-    head, convention = _sigma2_head(n, float(alpha), float(lam))
+    head, convention = _sigma2_head(n, alpha, lam)
     nc2 = n * c2
     w = nc2 / (1.0 + nc2)
     s = data.yty / (1.0 + nc2) + w * tss * (1.0 - r2)

@@ -105,7 +105,7 @@ class ModelId:
             return "+".join(parts) if parts else "0"
         named = [_term_label(t) for t in self.members if t]
         if not named:
-            return "1"
+            return "1" if self.intercept else "0"
         return "+".join(named)
 
     def sort_key(self):
@@ -219,11 +219,10 @@ def enumerate_linear_models(p, include_intercept=True):
         raise CapacityError(
             f"2^{p} models exceed the enumeration cap (p <= "
             f"{MAX_ENUM_COVARIATES}); use rj_sampler for spaces this large")
-    models = [ModelId.linear(subset, intercept=include_intercept)
-              for k in range(p + 1)
-              for subset in combinations(range(p), k)]
-    models.sort(key=ModelId.sort_key)
-    return models
+    # Subsets by size, each size in lexicographic order: already sorted.
+    return [ModelId.linear(subset, intercept=include_intercept)
+            for k in range(p + 1)
+            for subset in combinations(range(p), k)]
 
 
 def enumerate_hierarchical_models(spec):

@@ -18,7 +18,8 @@ import math
 
 import numpy as np
 
-from ._linalg import chol_factor, chol_logdet, factor_logdet, quad_form
+from ._linalg import chol_factor, chol_logdet, chol_solve, factor_logdet, \
+    quad_form
 from .exceptions import ContractError, SpecificationError
 
 __all__ = [
@@ -40,6 +41,22 @@ def _as_matrix(a, what):
     if a.ndim != 2:
         raise ContractError(f"{what} must be a 2-d array, got shape {a.shape}")
     return a
+
+
+def _check_sigma2_prior(alpha, lam):
+    """The inverse-gamma(alpha, lam) sigma^2 hyperparameters as floats:
+    both positive (proper) or both zero (improper reference), and finite."""
+    alpha, lam = float(alpha), float(lam)
+    if not (math.isfinite(alpha) and math.isfinite(lam)):
+        raise ContractError(
+            f"alpha and lam must be finite; got alpha={alpha}, lam={lam}")
+    if (alpha > 0.0) != (lam > 0.0):
+        raise ContractError(
+            "alpha and lam must both be positive (proper) or both zero "
+            f"(improper reference); got alpha={alpha}, lam={lam}")
+    if alpha < 0.0 or lam < 0.0:
+        raise ContractError("alpha and lam must be nonnegative")
+    return alpha, lam
 
 
 @dataclass(frozen=True)
@@ -73,13 +90,7 @@ class ParamPrior:
         c2 = float(self.c2)
         if not (c2 > 0.0) or not math.isfinite(c2):
             raise ContractError(f"c2 must be positive and finite, got {c2}")
-        alpha, lam = float(self.alpha), float(self.lam)
-        if (alpha > 0.0) != (lam > 0.0):
-            raise ContractError(
-                "alpha and lam must both be positive (proper) or both zero "
-                f"(improper reference); got alpha={alpha}, lam={lam}")
-        if alpha < 0.0 or lam < 0.0:
-            raise ContractError("alpha and lam must be nonnegative")
+        alpha, lam = _check_sigma2_prior(self.alpha, self.lam)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma_base", 0.5 * (sigma + sigma.T))
         object.__setattr__(self, "c2", c2)
@@ -153,12 +164,8 @@ def gprior_base(X, n=None):
     n = float(n)
     if not (n > 0.0):
         raise ContractError(f"sample size must be positive, got {n}")
-    if X.shape[1] == 0:
-        return np.zeros((0, 0))
-    gram = X.T @ X
-    L = chol_factor(gram, "X'X")
-    eye = np.eye(X.shape[1])
-    inv = np.linalg.solve(L.T, np.linalg.solve(L, eye))
+    L = chol_factor(X.T @ X, "X'X")
+    inv = chol_solve(L, np.eye(X.shape[1]))
     inv = 0.5 * (inv + inv.T)
     return n * inv
 
@@ -186,8 +193,8 @@ class TermBlock:
         if gram.shape != (self.size, self.size):
             raise ContractError(
                 f"block gram shape {gram.shape} does not match size {self.size}")
-        L = chol_factor(gram, "block gram matrix")
-        inv = np.linalg.solve(L.T, np.linalg.solve(L, np.eye(self.size)))
+        inv = chol_solve(chol_factor(gram, "block gram matrix"),
+                         np.eye(self.size))
         return self.scale2 * 0.5 * (inv + inv.T)
 
     def mean_vector(self):
@@ -241,7 +248,7 @@ def prior_for_linear_model(X, m, c2, alpha=0.0, lam=0.0, mu=None,
     Xm = linear_design(X, m)
     d = Xm.shape[1]
     if base == "gprior":
-        sigma = gprior_base(Xm) if d else np.zeros((0, 0))
+        sigma = gprior_base(Xm)
     elif base == "identity":
         sigma = np.eye(d)
     else:

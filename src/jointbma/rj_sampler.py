@@ -24,12 +24,12 @@ import math
 
 import numpy as np
 
-from ._linalg import chol_factor, chol_solve, factor_logdet
+from ._linalg import chol_solve, factor_logdet
 from .exceptions import ContractError
-from .glm_laplace import ContingencyTable, PoissonLogLinear, _newton, \
+from .glm_laplace import ContingencyTable, PoissonLogLinear, _map_laplace, \
     build_design, unit_info_for_model
 from .linear_exact import LinearDataset, log_marginal_nig
-from .model_space import log_prior_model_weight, model_positions
+from .model_space import FactorSpec, log_prior_model_weight, model_positions
 from .param_priors import InformationSource, _factor_prior, \
     _log_density_factored, linear_design
 
@@ -185,20 +185,25 @@ def _neighbor_lists(models):
 
 
 def _policy_weights(models, priors, policy, data):
+    """Log prior weight of every model under a policy. The information
+    the adjusted variants need comes from data: a ContingencyTable or a
+    FactorSpec (Poisson information at the prior mean) or a
+    LinearDataset."""
+    needs_info = policy.variant in ("adjusted_info", "adjusted_exact",
+                                    "loglinear_adjusted")
+    if needs_info and not isinstance(
+            data, (ContingencyTable, FactorSpec, LinearDataset)):
+        raise ContractError(
+            f"policy {policy.variant!r} needs table or linear data "
+            "to derive an information matrix")
     out = np.zeros(len(models))
     for i, m in enumerate(models):
         prior = priors[m]
         info = None
-        if policy.variant in ("adjusted_info", "adjusted_exact",
-                              "loglinear_adjusted"):
-            if isinstance(data, ContingencyTable):
-                info = unit_info_for_model(data, m, beta_ref=prior.mu)
-            elif isinstance(data, LinearDataset):
-                info = InformationSource.linear(linear_design(data.X, m))
-            else:
-                raise ContractError(
-                    f"policy {policy.variant!r} needs table or linear data "
-                    "to derive an information matrix")
+        if needs_info and isinstance(data, LinearDataset):
+            info = InformationSource.linear(linear_design(data.X, m))
+        elif needs_info:
+            info = unit_info_for_model(data, m, beta_ref=prior.mu)
         out[i] = log_prior_model_weight(m, policy, prior=prior, info=info)
     return out
 
@@ -237,15 +242,10 @@ def rjmcmc_run(space, priors, policy, data, config):
         return _run_joint(models, priors, lw, likelihoods, config, rng,
                           neighbors, kind="glm")
     if isinstance(data, dict):
-        if policy.variant not in ("uniform", "adjusted_c"):
-            raise ContractError(
-                "likelihood-dict data supports only the uniform and "
-                "adjusted_c policies")
+        lw = _policy_weights(models, priors, policy, data)
         for m in models:
             if m not in data:
                 raise ContractError(f"no likelihood supplied for {m.label()}")
-        lw = np.array([log_prior_model_weight(m, policy, prior=priors[m])
-                       for m in models])
         return _run_joint(models, priors, lw, data, config, rng, neighbors,
                           kind="custom")
     raise ContractError(
@@ -294,22 +294,6 @@ def _run_linear_collapsed(models, log_targets, config):
                    attempt_within=0, accept_within=0)
 
 
-def _laplace_proposal(likelihood, prior, L_V):
-    """Mode and precision Cholesky of the N(mode, (V^{-1} - H)^{-1})
-    independence proposal for one model; L_V is the Cholesky factor of
-    the prior variance V."""
-    d = likelihood.dim
-    if d == 0:
-        return np.zeros(0), np.zeros((0, 0)), 0.0
-    v_inv = chol_solve(L_V, np.eye(d))
-    fit = _newton(likelihood, prior.mu.copy(), 1e-8, 100,
-                  v_inv=v_inv, mu=prior.mu, kind="map")
-    precision = likelihood.neg_hessian(fit.beta) + v_inv
-    L = chol_factor(precision, "proposal precision")
-    ld = factor_logdet(L)
-    return fit.beta, L, ld
-
-
 def _run_joint(models, priors, lw, likelihoods, config, rng, neighbors,
                kind):
     # The prior terms are factored once per run and live only as long as
@@ -324,28 +308,21 @@ def _run_joint(models, priors, lw, likelihoods, config, rng, neighbors,
                 f"prior dimension {prior.d} for model {m.label()}")
         L_V, const = _factor_prior(prior)
         prior_terms.append((prior.mu, L_V, const))
-        mode, L, ld = _laplace_proposal(likelihoods[m], prior, L_V)
-        modes.append(mode)
+        # The Laplace proposal N(mode, (V^{-1} - H)^{-1}); its standard
+        # deviations also scale the within-model random walk.
+        fit, L = _map_laplace(likelihoods[m], prior, L_V)
+        modes.append(fit.beta)
         chols.append(L)
-        lds.append(ld)
-        if mode.shape[0]:
-            cov = np.linalg.solve(L.T, np.linalg.solve(L, np.eye(len(mode))))
-            step_sds.append(config.within_model_scale
-                            * np.sqrt(np.diag(cov)))
-        else:
-            step_sds.append(np.zeros(0))
+        lds.append(factor_logdet(L))
+        cov = chol_solve(L, np.eye(prior.d))
+        step_sds.append(config.within_model_scale * np.sqrt(np.diag(cov)))
 
     def q_draw(i):
-        d = modes[i].shape[0]
-        if d == 0:
-            return np.zeros(0)
-        z = rng.standard_normal(d)
+        z = rng.standard_normal(modes[i].shape[0])
         return modes[i] + np.linalg.solve(chols[i].T, z)
 
     def q_logpdf(i, beta):
         d = modes[i].shape[0]
-        if d == 0:
-            return 0.0
         u = chols[i].T @ (beta - modes[i])
         return -0.5 * (d * math.log(2.0 * math.pi) - lds[i] + float(u @ u))
 

@@ -8,6 +8,7 @@ import csv
 import itertools
 import json
 import os
+from pathlib import Path
 import subprocess
 import sys
 
@@ -16,13 +17,16 @@ import pytest
 
 import jointbma
 from jointbma import LinearDataset
+from jointbma._linalg import log_sum_exp
 from jointbma.cli import _gprior_log_targets, main
 from jointbma.config import PriorConfig
 from jointbma.datasets import load_linear_csv, write_linear_csv
 from jointbma.exceptions import ConvergenceError
+from jointbma.glm_laplace import term_block_prior, unit_info_for_model
 from jointbma.linear_exact import GPRIOR_SWEEP_VARIANTS, log_marginal_nig
-from jointbma.model_space import Baseline, ModelPriorPolicy, \
-    enumerate_linear_models
+from jointbma.model_space import Baseline, FactorSpec, ModelPriorPolicy, \
+    enumerate_hierarchical_models, enumerate_linear_models, \
+    log_prior_model_weight
 from jointbma.param_priors import prior_for_linear_model
 from jointbma.rj_sampler import SamplerConfig, _policy_weights, \
     _run_linear_collapsed, estimate_model_probs, rjmcmc_run
@@ -431,6 +435,65 @@ def test_prior_probs_small_space(tmp_path, capsys):
     assert adjusted == pytest.approx([0.4, 0.6], abs=1e-12)
 
 
+def _prior_probs_rows(tmp_path, capsys, text):
+    cfg = write_config(tmp_path, text)
+    assert main(["prior-probs", "--config", cfg]) == 0
+    return read_csv_output(capsys.readouterr().out)[2]
+
+
+def _expected_rows(variant, models, log_w):
+    probs = np.exp(log_w - log_sum_exp(log_w))
+    return [[variant, m.label(), str(m.d), "%.17g" % prob]
+            for m, prob in zip(models, probs)]
+
+
+@pytest.mark.parametrize("variant", ["adjusted_info", "adjusted_exact",
+                                     "loglinear_adjusted"])
+def test_prior_probs_space_with_empty_model(tmp_path, capsys, variant):
+    # The empty model has no parameters, so its information source is the
+    # 0x0 matrix; the information-based policies still weigh it.
+    rows = _prior_probs_rows(tmp_path, capsys, (
+        "[experiment]\ntask = prior-probs\n\n"
+        "[space]\nfactors = A:2, B:3\ncandidates = 1, A, B\n\n"
+        "[prior]\ntemplate = term_blocks\nscale = 4\n\n"
+        f"[policy]\nvariants = {variant}\n"))
+    spec = FactorSpec(factors=(("A", 2), ("B", 3)),
+                      candidate_terms=((), ("A",), ("B",)))
+    models = enumerate_hierarchical_models(spec)
+    assert models[0].d == 0
+    priors = {m: term_block_prior(spec, m, 4.0) for m in models}
+    log_w = _policy_weights(models, priors, ModelPriorPolicy(variant=variant),
+                            spec)
+    assert rows == _expected_rows(variant, models, log_w)
+
+
+def test_prior_probs_readme_example_rows(tmp_path, capsys):
+    # No benchmark workload runs prior-probs, so the README's example is
+    # pinned here, digit for digit, against per-model weights computed
+    # directly from the prior and its information matrix.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    blocks = [b.split("```")[0] for b in readme.split("```ini\n")[1:]]
+    (example,) = [b for b in blocks if "task = prior-probs" in b]
+    rows = _prior_probs_rows(tmp_path, capsys, example)
+    spec = FactorSpec(factors=(("O", 3), ("H", 2), ("A", 4)),
+                      forced_terms=((), ("O",), ("H",), ("A",)),
+                      candidate_terms=(("O", "H"), ("H", "A")))
+    policy = ModelPriorPolicy(
+        variant="loglinear_adjusted",
+        baseline=Baseline.dimension(-0.34657359027997264))
+    models = enumerate_hierarchical_models(spec)
+    log_w = []
+    for m in models:
+        prior = term_block_prior(spec, m, {"default": 1e3, ("H", "A"): 0.05},
+                                 means={("H", "A"): [0.204, -0.088, -0.271]})
+        info = unit_info_for_model(spec, m, beta_ref=prior.mu)
+        log_w.append(log_prior_model_weight(m, policy, prior=prior,
+                                            info=info))
+    assert rows == _expected_rows("loglinear_adjusted", models,
+                                  np.array(log_w))
+
+
 def test_json_stdout(tmp_path, capsys):
     cfg = write_config(tmp_path, (
         "[experiment]\ntask = shrinkage\nformat = json\n\n"
@@ -515,6 +578,30 @@ def test_exit_code_3_degenerate_response(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical error:" in err
     assert "response is constant" in err
+
+
+@pytest.mark.parametrize("alpha, lam", [("nan", "nan"), ("inf", "inf"),
+                                        ("2", "inf")])
+@pytest.mark.parametrize("task, variant", [
+    ("sweep", "uniform"), ("cv", "uniform"),
+    ("rjmcmc", "adjusted_info"), ("rjmcmc", "adjusted_exact")])
+def test_non_finite_sigma2_prior_exits_2(tmp_path, capsys, task, variant,
+                                         alpha, lam):
+    # The closed-form routes (sweep, cv, the g-prior rjmcmc route) and the
+    # per-model route (adjusted_exact) share one sigma^2 prior check.
+    data_path = str(tmp_path / "d.csv")
+    write_linear_csv(small_dataset(n=20, p=2), data_path)
+    cfg = write_config(tmp_path, (
+        f"[experiment]\ntask = {task}\nseed = 3\n\n"
+        f"[data]\nsource = csv\npath = {data_path}\n\n"
+        f"[prior]\ntemplate = gprior\nalpha = {alpha}\nlambda = {lam}\n"
+        "c2 = 4\nc2_grid = 1e0,1e2,3\n\n"
+        f"[policy]\nvariants = {variant}\n\n"
+        "[rjmcmc]\niterations = 200\n"))
+    assert main([task, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "alpha and lam must be finite" in captured.err
 
 
 @pytest.mark.parametrize("task", ["sweep", "cv"])

@@ -187,6 +187,14 @@ def test_contingency_parse_errors(tmp_path, spec22):
     with pytest.raises(ParseError, match="nonnegative integer"):
         load_contingency_csv(path, spec22, LEVELS22)
 
+    # Non-finite counts parse as floats but are no counts either.
+    for bad in ("nan", "inf"):
+        path.write_text(table_text(["lo,a,1", "lo,b,2", f"hi,a,{bad}",
+                                    "hi,b,4"]))
+        with pytest.raises(ParseError, match="row 4: count must be a "
+                                             "nonnegative integer"):
+            load_contingency_csv(path, spec22, LEVELS22)
+
     path.write_text("R,C,n\nlo,a,1\n")
     with pytest.raises(ParseError, match="missing column 'count'"):
         load_contingency_csv(path, spec22, LEVELS22)

@@ -238,11 +238,17 @@ def test_laplace_variant_gap_shrinks_with_counts(spec22):
 def test_laplace_dimension_zero_and_unknown_variant(spec22):
     model = PoissonLogLinear(np.zeros((4, 0)), np.array([1.0, 2.0, 3.0, 4.0]))
     prior = ParamPrior(mu=np.zeros(0), sigma_base=np.zeros((0, 0)), c2=1.0)
-    got = log_marginal_laplace_model(model, prior)
-    assert got.value == pytest.approx(model.loglik(np.zeros(0)), rel=1e-14)
+    # Nothing to integrate out: the marginal is the likelihood, and the
+    # 0x0 factors of V and of the curvature contribute exactly nothing.
+    for variant in ("at_map", "at_mle"):
+        got = log_marginal_laplace_model(model, prior, variant=variant)
+        assert got.value == model.loglik(np.zeros(0))
+    fit = fit_map_poisson(model.X, model.y, prior)
+    assert fit.beta.shape == (0,) and fit.iterations == 0
+    assert fit.value == model.loglik(np.zeros(0))
     with pytest.raises(SpecificationError, match="variant"):
         log_marginal_laplace_model(model, prior, variant="mystery")
-    # validated upfront, so the zero-dimension early return rejects too
+    # validated upfront, before any dimension-dependent work
     m1 = PoissonLogLinear(np.ones((4, 1)), np.array([1.0, 2.0, 3.0, 4.0]))
     p1 = ParamPrior(mu=np.zeros(1), sigma_base=np.eye(1), c2=1.0)
     with pytest.raises(SpecificationError, match="variant"):

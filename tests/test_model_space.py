@@ -4,6 +4,7 @@ Enumeration counts come from brute-force oracles; policy weights are
 checked against direct evaluations of their defining formulas.
 """
 import math
+import itertools
 from itertools import combinations
 
 import numpy as np
@@ -41,13 +42,15 @@ def test_linear_models_hashable_and_equal():
 
 
 def test_enumerate_linear_counts():
-    for p in (0, 1, 4, 8):
-        models = enumerate_linear_models(p)
+    for p, intercept in itertools.product((0, 1, 4, 8), (True, False)):
+        models = enumerate_linear_models(p, include_intercept=intercept)
         assert len(models) == 2 ** p
         assert len(set(models)) == 2 ** p
+        assert all(m.intercept == intercept for m in models)
         # canonical: sorted by dimension then members
         dims = [m.d for m in models]
         assert dims == sorted(dims)
+        assert models == sorted(models, key=ModelId.sort_key)
 
 
 def test_enumerate_linear_capacity():
@@ -79,6 +82,18 @@ def test_enumerate_hierarchical_oha(ohaspec):
     labels = [m.label() for m in models]
     assert labels == ["O+H+A", "O+H+A+OH", "O+H+A+HA", "O+H+A+OH+HA"]
     assert [m.d for m in models] == [7, 9, 10, 12]
+
+
+def test_loglinear_empty_model_is_labelled_0():
+    # With the intercept selectable, the empty model and the
+    # intercept-only model both occur and must not share a label.
+    spec = FactorSpec(factors=(("A", 2), ("B", 3)),
+                      candidate_terms=((), ("A",), ("B",)))
+    models = enumerate_hierarchical_models(spec)
+    assert [(m.label(), m.d) for m in models] == [
+        ("0", 0), ("1", 1), ("A", 2), ("B", 3), ("A+B", 4)]
+    assert ModelId.loglinear(spec, []).label() == "0"
+    assert ModelId.loglinear(spec, [()]).label() == "1"
 
 
 def test_enumerate_hierarchical_matches_bruteforce():

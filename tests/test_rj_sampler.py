@@ -27,8 +27,8 @@ from jointbma.model_space import Baseline, FactorSpec, ModelId, \
     enumerate_linear_models, log_prior_model_weight
 from jointbma.param_priors import ParamPrior, log_prior_density, \
     prior_for_linear_model
-from jointbma.rj_sampler import RjChain, SamplerConfig, batch_means_se, \
-    chain_to_csv, estimate_model_probs, rjmcmc_run, rwm_step
+from jointbma.rj_sampler import RjChain, SamplerConfig, _policy_weights, \
+    batch_means_se, chain_to_csv, estimate_model_probs, rjmcmc_run, rwm_step
 
 
 def test_rwm_acceptance_rate_matches_closed_form():
@@ -290,6 +290,33 @@ def test_table_chain_log_target_equals_public_density():
                                   table.counts).loglik
         expected = (log_prior_model_weight(m, policy, prior=priors[m])
                     + log_prior_density(beta, priors[m]) + loglik(beta))
+        assert chain.log_target[it] == expected, it
+
+
+def test_table_chain_through_empty_model_matches_public_density():
+    # With the intercept selectable the space holds a model with no
+    # parameters; the chain enters and leaves it through 0x0 factors.
+    spec = FactorSpec(factors=(("A", 2), ("B", 3)),
+                      candidate_terms=((), ("A",), ("B",)))
+    models = enumerate_hierarchical_models(spec)
+    table = ContingencyTable(spec=spec,
+                             counts=np.array([1.0, 2.0, 1.0, 0.0, 1.0, 1.0]))
+    priors = {m: term_block_prior(spec, m, scales=2.0) for m in models}
+    policy = ModelPriorPolicy(variant="adjusted_info")
+    lw = _policy_weights(models, priors, policy, table)
+    # A bare FactorSpec yields the same information, so the same weights.
+    assert np.array_equal(lw, _policy_weights(models, priors, policy, spec))
+    config = SamplerConfig(iterations=600, seed=23, store_coefficients=True)
+    chain = rjmcmc_run(list(models), priors, policy, table, config)
+    assert models[0].d == 0
+    assert 0 in chain.model_index and chain.accept_jump > 0
+    for it in range(config.iterations):
+        i = chain.model_index[it]
+        m = chain.models[i]
+        beta = chain.coefficients[it]
+        loglik = PoissonLogLinear(build_design(spec, m).X,
+                                  table.counts).loglik
+        expected = lw[i] + log_prior_density(beta, priors[m]) + loglik(beta)
         assert chain.log_target[it] == expected, it
 
 
