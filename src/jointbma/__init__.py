@@ -18,9 +18,10 @@ from ._linalg import log_sum_exp
 from .exceptions import CapacityError, ContractError, ConvergenceError, \
     DegenerateDataError, JointBmaError, NumericalDomainError, ParseError, \
     SpecificationError
-from .model_space import Baseline, FactorSpec, ModelId, ModelPriorPolicy, \
-    POLICY_VARIANTS, calibrate_p, enumerate_hierarchical_models, \
-    enumerate_linear_models, log_prior_model_weight
+from .model_space import Baseline, FactorSpec, LinearSubsets, ModelId, \
+    ModelPriorPolicy, POLICY_VARIANTS, calibrate_p, \
+    enumerate_hierarchical_models, enumerate_linear_models, \
+    log_prior_model_weight
 from .param_priors import InformationSource, ParamPrior, TermBlock, \
     blockwise_prior, fisher_info_poisson, gprior_base, linear_design, \
     log_prior_density, prior_for_linear_model, unit_information_count
@@ -60,6 +61,7 @@ __all__ = [
     "KPolicy",
     "LinearDataset",
     "LinearPosterior",
+    "LinearSubsets",
     "LogMarginal",
     "ModelId",
     "ModelPosterior",

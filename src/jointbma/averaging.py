@@ -21,7 +21,7 @@ import numpy as np
 
 from ._linalg import log_sum_exp
 from .exceptions import ContractError
-from .model_space import LINEAR, model_positions
+from .model_space import LINEAR, LinearSubsets, model_lookup
 from .special import chi2_cdf, chi2_cdf_small_x
 
 __all__ = [
@@ -71,7 +71,8 @@ class LogMarginal:
 
 @dataclass(frozen=True)
 class ModelPosterior:
-    """Normalized posterior over an explicit model list."""
+    """Normalized posterior over an explicit model list, or over a whole
+    LinearSubsets space, which is kept lazy."""
 
     models: tuple
     log_probs: np.ndarray
@@ -83,7 +84,8 @@ class ModelPosterior:
             raise ContractError(
                 f"log_probs shape {log_probs.shape} does not match "
                 f"{len(self.models)} models")
-        object.__setattr__(self, "models", tuple(self.models))
+        if not isinstance(self.models, LinearSubsets):
+            object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "log_probs", log_probs)
 
     @property
@@ -91,14 +93,14 @@ class ModelPosterior:
         return np.exp(self.log_probs)
 
     def prob_of(self, m):
-        pos = self._positions.get(m)
+        pos = self._position(m)
         if pos is None:
             raise ContractError(f"model {m.label()} not in posterior support")
         return math.exp(self.log_probs[pos])
 
     @cached_property
-    def _positions(self):
-        return model_positions(self.models)
+    def _position(self):
+        return model_lookup(self.models)
 
     def map_model(self):
         return self.models[int(np.argmax(self.log_probs))]
@@ -143,8 +145,16 @@ def normalize_posterior(models, marginals, log_prior_weights=None):
 
 
 def inclusion_probs(posterior, p):
-    """Marginal inclusion probability of each of the p covariates."""
+    """Marginal inclusion probability of each of the p covariates. Over a
+    LinearSubsets space this is one product with its membership matrix."""
     out = np.zeros(int(p))
+    models = posterior.models
+    if isinstance(models, LinearSubsets):
+        if models.p > p:
+            raise ContractError(
+                f"model references covariate {p} but p = {p}")
+        out[:models.p] = np.exp(posterior.log_probs) @ models.member
+        return out
     for m, lp in zip(posterior.models, posterior.log_probs):
         if m.kind != LINEAR:
             raise ContractError(

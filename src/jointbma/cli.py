@@ -192,6 +192,16 @@ def _cmd_simulate(cfg):
                                n=data.n, p=data.p))
 
 
+def _top_positions(probs, k):
+    """The first k positions of argsort(-probs, kind="stable"): largest
+    probability first, canonical model order among ties. Only the
+    candidates at or above the k-th largest value are sorted."""
+    neg = -probs
+    cut = np.partition(neg, k - 1)[k - 1]
+    candidates = np.flatnonzero(neg <= cut)
+    return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
+
+
 def run_sweep(cfg):
     """Whole-space g-prior posterior across the c^2 grid and policies.
 
@@ -212,9 +222,9 @@ def run_sweep(cfg):
             f"command-line cap of {MAX_CLI_ENUM}")
     stats = all_subsets_stats(data)
     labels = _covariate_labels(data)
-    index = {m: pos for pos, m in enumerate(stats.models)}
-    for w in cfg.sweep.watch:
-        if w not in index:
+    watch = [(w, stats.models.position(w)) for w in cfg.sweep.watch]
+    for w, pos in watch:
+        if pos is None:
             raise ParseError(
                 f"watch model {w.label()!r} is not in the sweep support "
                 f"(intercept-containing subsets of p={data.p} covariates)")
@@ -226,13 +236,12 @@ def run_sweep(cfg):
                              cfg.prior.alpha, cfg.prior.lam)
         for gi, c2 in enumerate(sweep.c2_grid):
             probs = np.exp(sweep.log_posterior[gi])
-            # Stable sort on -prob keeps canonical model order among ties.
-            for pos in np.argsort(-probs, kind="stable")[:top_k]:
+            for pos in _top_positions(probs, top_k):
                 rows.append((policy.variant, float(c2), "model",
                              stats.models[pos].label(), float(probs[pos])))
-            for w in cfg.sweep.watch:
+            for w, pos in watch:
                 rows.append((policy.variant, float(c2), "watch", w.label(),
-                             float(probs[index[w]])))
+                             float(probs[pos])))
             inclusion = probs @ stats.member
             for j in range(data.p):
                 rows.append((policy.variant, float(c2), "inclusion",
@@ -278,6 +287,7 @@ def _cmd_cv(cfg):
 
     sweeps = [gprior_sweep(stats, grid, policy, cfg.prior.alpha,
                            cfg.prior.lam) for policy in cfg.policies]
+    models = list(stats.models)
     sweep = sweeps[0]
     # The leave-one-out predictives depend on c2 but not on the model
     # prior, so every policy re-weights one matrix per grid point.
@@ -286,8 +296,8 @@ def _cmd_cv(cfg):
         priors = {m: prior_for_linear_model(data.X, m, c2,
                                             alpha=cfg.prior.alpha,
                                             lam=cfg.prior.lam)
-                  for m in stats.models}
-        lpd = loo_log_predictives(stats.models, data, priors,
+                  for m in models}
+        lpd = loo_log_predictives(models, data, priors,
                                   mode=cfg.cv.mode, rng=rng,
                                   num_draws=cfg.cv.num_draws)
         for policy_scores, policy_sweep in zip(scores, sweeps):

@@ -11,7 +11,6 @@ map them to its config-error exit code.
 import configparser
 from dataclasses import dataclass, field
 import hashlib
-import math
 
 import numpy as np
 
@@ -379,9 +378,6 @@ def load_config(path, seed_override=None, out_override=None,
             "required ([experiment] seed or --seed)")
     if seed is not None and seed < 0:
         raise ParseError(f"seed must be nonnegative, got {seed}")
-
-    if math.isfinite(prior.alpha) and prior.alpha < 0:
-        raise ParseError("prior alpha must be nonnegative")
 
     return ExperimentConfig(task=task, seed=seed, out=out, fmt=fmt,
                             data=data, prior=prior, policies=policies,

@@ -33,7 +33,7 @@ from ._linalg import chol_factor, chol_solve, factor_logdet, log_sum_exp
 from .averaging import LogMarginal, ModelPosterior
 from .exceptions import ContractError, DegenerateDataError, JointBmaError, \
     SpecificationError
-from .model_space import enumerate_linear_models, model_positions
+from .model_space import LinearSubsets, calibrate_p, model_lookup
 from .param_priors import _check_sigma2_prior, linear_design
 
 __all__ = [
@@ -357,12 +357,12 @@ def cv_score_from_lpd(posterior, lpd, mode):
 
 @dataclass(frozen=True)
 class AllSubsets:
-    """Sufficient statistics for every covariate subset: model order is
-    canonical (dimension, then lexicographic members), aligned with the
-    d and r2 arrays and the rows of member, the 0/1 matrix of covariate
-    membership (one column per covariate)."""
+    """Sufficient statistics for every covariate subset: models is the
+    LinearSubsets space in canonical order (dimension, then lexicographic
+    members), aligned with the d and r2 arrays and the rows of member,
+    the 0/1 matrix of covariate membership (one column per covariate)."""
 
-    models: tuple
+    models: LinearSubsets
     d: np.ndarray
     r2: np.ndarray
     member: np.ndarray
@@ -373,10 +373,9 @@ class AllSubsets:
 
 def all_subsets_stats(data):
     """One batched pass computing R^2 for all 2^p intercept-containing
-    subsets. Subsets are grouped by size; each group's normal equations
-    are solved as one stacked batch."""
-    p = data.p
-    models = enumerate_linear_models(p, include_intercept=True)
+    subsets. Each subset size's normal equations are solved as one
+    stacked batch."""
+    models = LinearSubsets(data.p, intercept=True)
     yc = data.y - data.y.mean()
     tss = float(yc @ yc)
     if tss <= 0.0:
@@ -385,15 +384,10 @@ def all_subsets_stats(data):
     G = Xc.T @ Xc
     g = Xc.T @ yc
 
-    by_size = {}
-    for pos, m in enumerate(models):
-        by_size.setdefault(len(m.members), []).append(pos)
     r2 = np.zeros(len(models))
-    member = np.zeros((len(models), p))
-    for k, positions in by_size.items():
+    for k, rows, idx in models.blocks():
         if k == 0:
             continue
-        idx = np.array([models[pos].members for pos in positions], dtype=int)
         Gsub = G[idx[:, :, None], idx[:, None, :]]
         gsub = g[idx]
         try:
@@ -404,10 +398,8 @@ def all_subsets_stats(data):
                 "collinear covariates: some subset's normal equations are "
                 "singular")
         ess = np.einsum("ij,ij->i", coef, gsub)
-        r2[positions] = np.clip(ess / tss, 0.0, 1.0)
-        member[np.array(positions)[:, None], idx] = 1.0
-    d = np.array([m.d for m in models], dtype=int)
-    return AllSubsets(models=tuple(models), d=d, r2=r2, member=member,
+        r2[rows] = np.clip(ess / tss, 0.0, 1.0)
+    return AllSubsets(models=models, d=models.d, r2=r2, member=models.member,
                       n=data.n, yty=data.yty, tss=tss)
 
 
@@ -437,7 +429,7 @@ def gprior_log_marginals(stats, c2, alpha=0.0, lam=0.0):
 class SweepResult:
     """Posterior over all subsets along a grid of dispersion scales."""
 
-    models: tuple
+    models: LinearSubsets
     c2_grid: np.ndarray
     log_weights: np.ndarray
     log_posterior: np.ndarray
@@ -449,17 +441,30 @@ class SweepResult:
                               convention=self.convention)
 
     def prob_trace(self, m):
-        pos = self._positions.get(m)
+        pos = self._position(m)
         if pos is None:
             raise ContractError(f"model {m.label()} not in sweep support")
         return np.exp(self.log_posterior[:, pos])
 
     @cached_property
-    def _positions(self):
-        return model_positions(self.models)
+    def _position(self):
+        return model_lookup(self.models)
 
     def map_models(self):
         return [self.models[i] for i in np.argmax(self.log_posterior, axis=1)]
+
+
+def _baseline_log_p(baseline, stats):
+    """Baseline log p(m) of every subset in stats: evaluated over stats.d
+    for the rules that depend on the model only through d, per model for
+    a table."""
+    if baseline.kind == "constant":
+        return np.zeros(stats.d.shape)
+    if baseline.kind == "dimension":
+        return stats.d * baseline.log_weight
+    if baseline.kind == "calibrated":
+        return calibrate_p(stats.d, baseline.n0, baseline.psi0)
+    return np.array([baseline.log_p(m) for m in stats.models])
 
 
 def gprior_sweep(data, c2_grid, policy, alpha=0.0, lam=0.0):
@@ -480,7 +485,7 @@ def gprior_sweep(data, c2_grid, policy, alpha=0.0, lam=0.0):
     if c2_grid.size == 0 or np.any(c2_grid <= 0.0):
         raise ContractError("c2_grid must contain positive scales")
     stats = data if isinstance(data, AllSubsets) else all_subsets_stats(data)
-    baseline = np.array([policy.baseline.log_p(m) for m in stats.models])
+    baseline = _baseline_log_p(policy.baseline, stats)
     if policy.variant not in GPRIOR_SWEEP_VARIANTS:
         raise SpecificationError(
             f"policy variant {policy.variant!r} needs per-model matrices; "

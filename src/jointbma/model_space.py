@@ -16,9 +16,10 @@ information matrix. Tying the model weight to the prior dispersion keeps
 posterior model probabilities stable as the parameter prior flattens,
 instead of collapsing onto the smallest model.
 """
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "FactorSpec",
     "Baseline",
     "ModelPriorPolicy",
+    "LinearSubsets",
     "enumerate_linear_models",
     "enumerate_hierarchical_models",
     "is_hierarchical",
@@ -199,30 +201,131 @@ def is_hierarchical(terms):
     return all(all(sub in have for sub in term_margins(t)) for t in have)
 
 
-def model_positions(models):
-    """Map each model to its first position in models, for O(1) lookups
-    that keep a linear scan's first-match result."""
+def model_lookup(models):
+    """Function mapping a model to its first position in models, or None,
+    in O(1): a LinearSubsets ranks the model, any other sequence gets a
+    dict that keeps a linear scan's first-match result."""
+    if isinstance(models, LinearSubsets):
+        return models.position
     index = {}
     for pos, m in enumerate(models):
         index.setdefault(m, pos)
-    return index
+    return index.get
+
+
+class LinearSubsets(Sequence):
+    """All 2^p covariate subsets as a lazy sequence of linear ModelIds.
+
+    Canonical order: subsets by size, each size in the lexicographic
+    order of itertools.combinations(range(p), k). Indexing unranks a
+    position in the combinatorial number system and builds that one
+    ModelId; position() ranks a model back without a table over the
+    space. The arrays d and member describe every subset at once.
+    Hard cap p <= MAX_ENUM_COVARIATES; larger spaces need the sampler.
+    """
+
+    def __init__(self, p, intercept=True):
+        p = int(p)
+        if p < 0:
+            raise SpecificationError(
+                f"covariate count must be nonnegative, got {p}")
+        if p > MAX_ENUM_COVARIATES:
+            raise CapacityError(
+                f"2^{p} models exceed the enumeration cap (p <= "
+                f"{MAX_ENUM_COVARIATES}); use rj_sampler for spaces this "
+                "large")
+        self.p = p
+        self.intercept = bool(intercept)
+        sizes = [math.comb(p, k) for k in range(p + 1)]
+        # offsets[k] is the position of the first subset of size k.
+        self.offsets = tuple(sum(sizes[:k]) for k in range(p + 2))
+
+    def __len__(self):
+        return 1 << self.p
+
+    def __iter__(self):
+        for k in range(self.p + 1):
+            for subset in combinations(range(self.p), k):
+                yield ModelId.linear(subset, intercept=self.intercept)
+
+    def __getitem__(self, i):
+        n = len(self)
+        i = int(i)
+        if not -n <= i < n:
+            raise IndexError(f"model index {i} out of range for {n} models")
+        if i < 0:
+            i += n
+        k = 0
+        while self.offsets[k + 1] <= i:
+            k += 1
+        # Lexicographic rank r of a k-subset c_1 < ... < c_k satisfies
+        # C(p, k) - 1 - r = sum_i C(p - 1 - c_i, k - i + 1); peel the
+        # terms off greedily, largest first.
+        rest = math.comb(self.p, k) - 1 - (i - self.offsets[k])
+        members = []
+        top = self.p - 1
+        for j in range(k, 0, -1):
+            while math.comb(top, j) > rest:
+                top -= 1
+            rest -= math.comb(top, j)
+            members.append(self.p - 1 - top)
+            top -= 1
+        return ModelId.linear(members, intercept=self.intercept)
+
+    def position(self, m):
+        """Position of model m, or None when m is not in this space."""
+        if not isinstance(m, ModelId) or m.kind != LINEAR or \
+                m.intercept != self.intercept:
+            return None
+        members = m.members
+        if m.d != len(members) + self.intercept or \
+                not all(isinstance(j, (int, np.integer)) for j in members) or \
+                any(a >= b for a, b in zip(members, members[1:])) or \
+                (members and (members[0] < 0 or members[-1] >= self.p)):
+            return None
+        k = len(members)
+        rest = sum(math.comb(self.p - 1 - int(c), k - i)
+                   for i, c in enumerate(members))
+        return self.offsets[k] + math.comb(self.p, k) - 1 - rest
+
+    def __contains__(self, m):
+        return self.position(m) is not None
+
+    def __repr__(self):
+        return f"LinearSubsets(p={self.p}, intercept={self.intercept})"
+
+    def blocks(self):
+        """(k, positions, index) per subset size k: the slice of
+        positions holding the size-k subsets and their covariate indices
+        as a C(p, k) x k integer array, rows in canonical order."""
+        for k in range(self.p + 1):
+            count = self.offsets[k + 1] - self.offsets[k]
+            flat = chain.from_iterable(combinations(range(self.p), k))
+            index = np.fromiter(flat, dtype=np.intp, count=count * k)
+            yield k, slice(self.offsets[k], self.offsets[k + 1]), \
+                index.reshape(count, k)
+
+    @cached_property
+    def d(self):
+        """Parameter count of every model, intercept included."""
+        sizes = np.diff(self.offsets)
+        return np.repeat(np.arange(self.p + 1), sizes) + int(self.intercept)
+
+    @cached_property
+    def member(self):
+        """0/1 membership matrix: one row per model, one column per
+        covariate."""
+        out = np.zeros((len(self), self.p))
+        for _, rows, index in self.blocks():
+            out[np.arange(rows.start, rows.stop)[:, None], index] = 1.0
+        return out
 
 
 def enumerate_linear_models(p, include_intercept=True):
     """All 2^p covariate subsets in canonical order (dimension, then
-    lexicographic members). Hard cap p <= 25; larger spaces need the
-    sampler."""
-    p = int(p)
-    if p < 0:
-        raise SpecificationError(f"covariate count must be nonnegative, got {p}")
-    if p > MAX_ENUM_COVARIATES:
-        raise CapacityError(
-            f"2^{p} models exceed the enumeration cap (p <= "
-            f"{MAX_ENUM_COVARIATES}); use rj_sampler for spaces this large")
-    # Subsets by size, each size in lexicographic order: already sorted.
-    return [ModelId.linear(subset, intercept=include_intercept)
-            for k in range(p + 1)
-            for subset in combinations(range(p), k)]
+    lexicographic members), as a list: see LinearSubsets. Hard cap
+    p <= 25; larger spaces need the sampler."""
+    return list(LinearSubsets(p, intercept=include_intercept))
 
 
 def enumerate_hierarchical_models(spec):

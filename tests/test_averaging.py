@@ -15,8 +15,9 @@ from jointbma.averaging import KPolicy, LogMarginal, ModelPosterior, \
     embed_linear_mean, inclusion_probs, model_averaged_mean, \
     neighborhood_prior_prob, normalize_posterior, posterior_mean_expansion, \
     shrinkage_curve, term_inclusion_probs
+from jointbma._linalg import log_sum_exp
 from jointbma.exceptions import ContractError
-from jointbma.model_space import FactorSpec, ModelId
+from jointbma.model_space import FactorSpec, LinearSubsets, ModelId
 
 
 def lm(value, convention="proper"):
@@ -80,6 +81,29 @@ def test_inclusion_probs_brute_force():
 
     half = normalize_posterior([models[1], models[2]], [lm(0.0), lm(0.0)])
     assert np.allclose(inclusion_probs(half, p), [0.5, 0.5, 0.0])
+
+
+@pytest.mark.parametrize("p", [0, 1, 5, 10])
+def test_inclusion_probs_on_lazy_space_matches_model_loop(p):
+    seq = LinearSubsets(p)
+    rng = np.random.default_rng(82 + p)
+    lw = 3.0 * rng.standard_normal(len(seq))
+    lazy = ModelPosterior(models=seq, log_probs=lw - log_sum_exp(lw),
+                          convention="proper")
+    listed = ModelPosterior(models=list(seq), log_probs=lazy.log_probs,
+                            convention="proper")
+    assert lazy.models is seq and isinstance(listed.models, tuple)
+    # The per-model loop over an explicit list is the oracle.
+    for width in (p, p + 2):
+        got = inclusion_probs(lazy, width)
+        want = inclusion_probs(listed, width)
+        assert got.shape == want.shape == (width,)
+        assert np.all(np.abs(got - want) <= 1e-15)
+    if p:
+        for post in (lazy, listed):
+            with pytest.raises(ContractError,
+                               match=f"covariate {p - 1} but p = {p - 1}"):
+                inclusion_probs(post, p - 1)
 
 
 def test_inclusion_invariant_to_zero_probability_model():

@@ -12,21 +12,23 @@ from pathlib import Path
 import subprocess
 import sys
 
+from hypothesis import given, strategies as st
 import numpy as np
 import pytest
 
 import jointbma
 from jointbma import LinearDataset
 from jointbma._linalg import log_sum_exp
-from jointbma.cli import _gprior_log_targets, main
+from jointbma.cli import _gprior_log_targets, _top_positions, main
 from jointbma.config import PriorConfig
 from jointbma.datasets import load_linear_csv, write_linear_csv
 from jointbma.exceptions import ConvergenceError
 from jointbma.glm_laplace import term_block_prior, unit_info_for_model
-from jointbma.linear_exact import GPRIOR_SWEEP_VARIANTS, log_marginal_nig
-from jointbma.model_space import Baseline, FactorSpec, ModelPriorPolicy, \
-    enumerate_hierarchical_models, enumerate_linear_models, \
-    log_prior_model_weight
+from jointbma.linear_exact import GPRIOR_SWEEP_VARIANTS, gprior_sweep, \
+    log_marginal_nig
+from jointbma.model_space import Baseline, FactorSpec, ModelId, \
+    ModelPriorPolicy, enumerate_hierarchical_models, \
+    enumerate_linear_models, log_prior_model_weight
 from jointbma.param_priors import prior_for_linear_model
 from jointbma.rj_sampler import SamplerConfig, _policy_weights, \
     _run_linear_collapsed, estimate_model_probs, rjmcmc_run
@@ -142,6 +144,60 @@ def test_sweep_structure(tmp_path, capsys):
     x1 = [float(v) for _, c2, rec, lbl, v in rows
           if rec == "inclusion" and lbl == "x1"]
     assert min(x1) > 0.9
+
+
+@given(st.lists(st.sampled_from([0.0, 1e-300, 0.25, 0.5, 1.0]),
+                min_size=1, max_size=40),
+       st.integers(0, 40))
+def test_top_positions_equal_stable_argsort(values, k):
+    # Few distinct values, so ties straddle the k-th place; k runs up to
+    # the whole space, as run_sweep caps top_k at the model count.
+    probs = np.array(values)
+    k = min(k, probs.shape[0])
+    assert _top_positions(probs, k).tolist() == \
+        np.argsort(-probs, kind="stable")[:k].tolist()
+
+
+def test_sweep_labels_only_printed_models(tmp_path, capsys, monkeypatch):
+    rng = np.random.Generator(np.random.Philox(6))
+    X = rng.standard_normal((40, 10))
+    data = LinearDataset(y=X[:, 0] - X[:, 3] + rng.standard_normal(40), X=X)
+    data_path = str(tmp_path / "data.csv")
+    write_linear_csv(data, data_path)
+    top_k, grid, policies, watch = 4, 3, ("uniform", "adjusted_c"), 2
+    cfg = write_config(tmp_path, (
+        "[experiment]\ntask = sweep\n\n"
+        f"[data]\nsource = csv\npath = {data_path}\n\n"
+        f"[prior]\ntemplate = gprior\nc2_grid = 1e0,1e8,{grid}\n\n"
+        f"[policy]\nvariants = {', '.join(policies)}\n\n"
+        f"[sweep]\ntop_k = {top_k}\nwatch = 1+X1, 1+X1+X4\n"))
+    calls = [0]
+    real = ModelId.linear.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls[0] += 1
+        return real(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ModelId, "linear", classmethod(counted))
+        assert main(["sweep", "--config", cfg]) == 0
+    # The 2^10 models stay arrays; only printed and watched ones are built.
+    assert 0 < calls[0] <= top_k * grid * len(policies) + watch
+    _, _, rows = read_csv_output(capsys.readouterr().out)
+
+    # Oracle: the full stable sort over the enumerated model list.
+    models = enumerate_linear_models(10)
+    stored = load_linear_csv(data_path)
+    expected = []
+    for variant in policies:
+        sweep = gprior_sweep(stored, np.geomspace(1.0, 1e8, grid),
+                             ModelPriorPolicy(variant=variant))
+        for gi, c2 in enumerate(sweep.c2_grid):
+            probs = np.exp(sweep.log_posterior[gi])
+            expected += [[variant, "%.17g" % c2, "model", models[i].label(),
+                          "%.17g" % probs[i]]
+                         for i in np.argsort(-probs, kind="stable")[:top_k]]
+    assert [r for r in rows if r[2] == "model"] == expected
 
 
 def test_simulate_roundtrip_through_cv(tmp_path, capsys):
@@ -602,6 +658,37 @@ def test_non_finite_sigma2_prior_exits_2(tmp_path, capsys, task, variant,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "alpha and lam must be finite" in captured.err
+
+
+@pytest.mark.parametrize("sigma2, message", [
+    ("alpha = -2", "alpha and lam must be nonnegative"),
+    ("lambda = -1", "alpha and lam must be nonnegative"),
+    ("alpha = nan", "alpha and lam must be finite"),
+], ids=["alpha-negative", "lambda-negative", "alpha-nan"])
+def test_sigma2_prior_checked_only_where_used(tmp_path, capsys, sigma2,
+                                              message):
+    # The sigma^2 hyperparameters are validated by the tasks that use
+    # them, not at parse time: the linear tasks exit 2 and prior-probs,
+    # which never uses them, runs.
+    data_path = str(tmp_path / "d.csv")
+    write_linear_csv(small_dataset(n=20, p=2), data_path)
+    for task in ("sweep", "cv", "rjmcmc"):
+        cfg = write_config(tmp_path, (
+            f"[experiment]\ntask = {task}\nseed = 3\n\n"
+            f"[data]\nsource = csv\npath = {data_path}\n\n"
+            f"[prior]\ntemplate = gprior\n{sigma2}\n"
+            "c2 = 4\nc2_grid = 1e0,1e2,3\n\n"
+            "[rjmcmc]\niterations = 200\n"))
+        assert main([task, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+    cfg = write_config(tmp_path, (
+        "[experiment]\ntask = prior-probs\n\n"
+        "[space]\nfactors = R:2, C:2\nforced = 1, R, C\ncandidates = R*C\n\n"
+        f"[prior]\ntemplate = term_blocks\nscale = 9.0\n{sigma2}\n"))
+    assert main(["prior-probs", "--config", cfg]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("task", ["sweep", "cv"])

@@ -263,8 +263,6 @@ BAD_CONFIGS = [
      "baseline = dimension\n", "log_weight.*required"),
     ("[experiment]\ntask = sweep\nseed = 1\n\n[prior]\ntemplate = flat\n",
      "unknown prior template"),
-    ("[experiment]\ntask = sweep\nseed = 1\n\n[prior]\nalpha = -2\n",
-     "alpha must be nonnegative"),
     ("[experiment]\ntask = sweep\nseed = 1\n\n[data]\nsource = ftp\n",
      "unknown data source"),
     ("[experiment]\ntask = sweep\nseed = 1\n\n[data]\n"

@@ -15,7 +15,8 @@ from scipy.stats import multivariate_t
 from scipy.stats import t as student_t
 
 from jointbma.averaging import ModelPosterior, normalize_posterior
-from jointbma.exceptions import ContractError, DegenerateDataError
+from jointbma.exceptions import ContractError, DegenerateDataError, \
+    SpecificationError
 from jointbma.linear_exact import LinearDataset, all_subsets_stats, \
     cv_score, gprior_log_marginals, gprior_sweep, \
     log_marginal_gprior_closed, log_marginal_nig, loo_predictive_exact, \
@@ -288,6 +289,38 @@ def test_gprior_sweep_matches_generic_policy_route():
                                            log_prior_weights=lws)
             got = sweep.posterior_at(gi)
             assert np.allclose(got.probs, expected.probs, atol=1e-10)
+
+
+@pytest.mark.parametrize("baseline", [
+    Baseline.constant(), Baseline.dimension(-0.37),
+    Baseline.calibrated(24.0, 1.3),
+    Baseline.from_table({m: 0.1 * len(m.members) ** 2
+                         for m in enumerate_linear_models(4)}),
+], ids=["constant", "dimension", "calibrated", "table"])
+def test_gprior_sweep_baseline_equals_per_model_log_p(baseline):
+    rng = np.random.default_rng(50)
+    X = rng.standard_normal((16, 4))
+    data = LinearDataset(y=X[:, 0] + rng.standard_normal(16), X=X)
+    stats = all_subsets_stats(data)
+    policy = ModelPriorPolicy(variant="uniform", baseline=baseline)
+    sweep = gprior_sweep(stats, [3.0], policy)
+    # Same operations in the same order as Baseline.log_p, model by model.
+    expected = np.array([baseline.log_p(m) for m in stats.models])
+    lm, _ = gprior_log_marginals(stats, 3.0)
+    assert np.array_equal(sweep.log_weights[0],
+                          expected + 0.0 * math.log(3.0) + lm)
+
+
+def test_gprior_sweep_keeps_calibrated_baseline_validation():
+    rng = np.random.default_rng(51)
+    X = rng.standard_normal((12, 2))
+    data = LinearDataset(y=X[:, 0] + rng.standard_normal(12), X=X)
+    for n0, psi0, match in ((1.0, 1.0, "reference sample size"),
+                            (24.0, 0.0, "penalty value")):
+        policy = ModelPriorPolicy(variant="adjusted_c",
+                                  baseline=Baseline.calibrated(n0, psi0))
+        with pytest.raises(SpecificationError, match=match):
+            gprior_sweep(data, [1.0], policy)
 
 
 def test_cv_score_exact_matches_hand_computation():

@@ -7,16 +7,20 @@ import math
 import itertools
 from itertools import combinations
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from jointbma.averaging import ModelPosterior
 from jointbma.exceptions import CapacityError, ContractError, \
     SpecificationError
-from jointbma.model_space import Baseline, FactorSpec, ModelId, \
-    ModelPriorPolicy, calibrate_p, enumerate_hierarchical_models, \
-    enumerate_linear_models, is_hierarchical, log_prior_model_weight, \
-    term_margins
+from jointbma.linear_exact import SweepResult
+from jointbma.model_space import LINEAR, Baseline, FactorSpec, \
+    LinearSubsets, ModelId, ModelPriorPolicy, calibrate_p, \
+    enumerate_hierarchical_models, enumerate_linear_models, \
+    is_hierarchical, log_prior_model_weight, term_margins
 from jointbma.param_priors import InformationSource, ParamPrior
+from jointbma.rj_sampler import _neighbor_lists
 
 
 @pytest.fixture
@@ -56,6 +60,89 @@ def test_enumerate_linear_counts():
 def test_enumerate_linear_capacity():
     with pytest.raises(CapacityError):
         enumerate_linear_models(26)
+
+
+def combinations_oracle(p, intercept):
+    return [ModelId.linear(c, intercept=intercept)
+            for k in range(p + 1) for c in combinations(range(p), k)]
+
+
+@pytest.mark.parametrize("intercept", [True, False])
+@pytest.mark.parametrize("p", range(13))
+def test_linear_subsets_follow_combinations_order(p, intercept):
+    seq = LinearSubsets(p, intercept=intercept)
+    oracle = combinations_oracle(p, intercept)
+    assert len(seq) == 2 ** p
+    assert list(seq) == oracle
+    assert enumerate_linear_models(p, include_intercept=intercept) == oracle
+    assert seq.d.tolist() == [m.d for m in oracle]
+    assert seq.member.shape == (2 ** p, p)
+    assert [tuple(np.flatnonzero(row)) for row in seq.member] == \
+        [m.members for m in oracle]
+    # Bitmask neighbor lists against the generic toggle search, whose
+    # repr order puts covariate 10 before 2 from p = 11 on.
+    assert _neighbor_lists(seq) == _neighbor_lists(oracle)
+
+
+spaces = st.tuples(st.integers(0, 12), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(spaces, st.data())
+def test_linear_subsets_position_inverts_indexing(space, data):
+    seq = LinearSubsets(*space)
+    i = data.draw(st.integers(-len(seq), len(seq) - 1))
+    m = seq[i]
+    assert seq.position(m) == i % len(seq)
+    assert m in seq
+    subset = data.draw(st.sets(st.integers(0, max(seq.p - 1, 0)),
+                               max_size=seq.p))
+    built = ModelId.linear(subset, intercept=seq.intercept)
+    assert seq[seq.position(built)] == built
+    with pytest.raises(IndexError):
+        seq[len(seq)]
+    with pytest.raises(IndexError):
+        seq[-len(seq) - 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(spaces, st.data())
+def test_linear_subsets_reject_foreign_models(space, data):
+    p, intercept = space
+    seq = LinearSubsets(p, intercept=intercept)
+    subset = data.draw(st.sets(st.integers(0, p + 3), max_size=4))
+    spec = FactorSpec(factors=(("A", 2), ("B", 3)),
+                      forced_terms=((), ("A",)))
+    foreign = [
+        ModelId.linear(subset | {p + data.draw(st.integers(0, 3))},
+                       intercept=intercept),
+        ModelId.linear(subset & set(range(p)), intercept=not intercept),
+        ModelId.loglinear(spec, [(), ("A",)]),
+        ModelId(kind=LINEAR, members=(), d=7, intercept=intercept),
+    ]
+    post = ModelPosterior(models=seq,
+                          log_probs=np.full(len(seq), -p * math.log(2.0)),
+                          convention="proper")
+    sweep = SweepResult(models=seq, c2_grid=np.ones(1),
+                        log_weights=post.log_probs[None, :],
+                        log_posterior=post.log_probs[None, :],
+                        convention="proper")
+    # The posterior keeps the lazy space rather than building a tuple.
+    assert post.models is seq
+    for m in foreign:
+        assert seq.position(m) is None
+        assert m not in seq
+        with pytest.raises(ContractError, match="not in posterior support"):
+            post.prob_of(m)
+        with pytest.raises(ContractError, match="not in sweep support"):
+            sweep.prob_trace(m)
+
+
+def test_linear_subsets_validation():
+    with pytest.raises(SpecificationError):
+        LinearSubsets(-1)
+    with pytest.raises(CapacityError):
+        LinearSubsets(26)
 
 
 def test_term_dimension_and_cells(ohaspec):

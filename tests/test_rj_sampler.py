@@ -22,8 +22,8 @@ from jointbma.glm_laplace import ContingencyTable, GaussianKnownVar, \
     PoissonLogLinear, build_design, fit_mle_poisson, term_block_prior
 from jointbma.linear_exact import LinearDataset, gprior_sweep, \
     log_marginal_nig
-from jointbma.model_space import Baseline, FactorSpec, ModelId, \
-    ModelPriorPolicy, enumerate_hierarchical_models, \
+from jointbma.model_space import Baseline, FactorSpec, LinearSubsets, \
+    ModelId, ModelPriorPolicy, enumerate_hierarchical_models, \
     enumerate_linear_models, log_prior_model_weight
 from jointbma.param_priors import ParamPrior, log_prior_density, \
     prior_for_linear_model
@@ -123,6 +123,43 @@ def test_estimate_model_probs_counting_oracle():
     assert thinned.n_kept == 450
     with pytest.raises(ContractError, match="burn_in"):
         estimate_model_probs(alternating, burn_in=1000)
+
+
+def loop_batch_means(chain, burn_in, thin):
+    """estimate_model_probs' standard errors as one batch_means_se call
+    per visited model."""
+    kept = chain.model_index[burn_in::thin]
+    se = np.zeros(len(chain.models))
+    length = 0
+    for i in np.unique(kept):
+        _, se[i], length = batch_means_se(kept == i)
+    return se, length
+
+
+@pytest.mark.parametrize("p, iterations, burn_in, thin, cells", [
+    (12, 20000, 2000, 1, None),
+    (6, 5000, 100, 3, None),
+    (6, 5000, 0, 1, 50),
+    (3, 7, 1, 2, None),
+    (3, 5, 1, 1, None),
+    (3, 3, 0, 1, None),
+    (2, 1, 0, 1, None),
+])
+def test_estimate_model_probs_se_equals_batch_means_loop(
+        monkeypatch, p, iterations, burn_in, thin, cells):
+    if cells is not None:
+        # Small blocks make the visit counts come in several row chunks.
+        monkeypatch.setattr(jointbma.rj_sampler, "BATCH_MEANS_CELLS", cells)
+    rng = np.random.Generator(np.random.Philox(p + iterations))
+    # A sticky walk, so batches differ in how often they see a model.
+    moves = rng.integers(2 ** p, size=iterations)
+    stay = rng.random(iterations) < 0.8
+    index = np.maximum.accumulate(np.where(stay, 0, np.arange(iterations)))
+    chain = synthetic_chain(moves[index], LinearSubsets(p))
+    est = estimate_model_probs(chain, burn_in=burn_in, thin=thin)
+    se, length = loop_batch_means(chain, burn_in, thin)
+    assert np.array_equal(est.se, se)
+    assert est.batch_length == length
 
 
 def test_collapsed_linear_matches_exact_enumeration():
