@@ -1,8 +1,12 @@
 """Shared dense linear-algebra kernel.
 
-Every determinant and quadratic form in the package goes through the
-Cholesky routines here, in log space. Near-singular matrices (condition
-number above COND_CAP estimated from the factor) are rejected rather than
+Every determinant and quadratic form in the package starts from the
+Cholesky routines here, in log space. A caller that evaluates the same
+form many times (the joint RJ chain) forms the inverse factor L^{-1}
+once with inv_factor and takes x' A^{-1} x as ||L^{-1} x||^2, a matmul
+in place of a triangular solve; the result can differ from quad_form's
+in the last bits. Near-singular matrices (condition number above
+COND_CAP estimated from the factor) are rejected rather than
 regularized, so exactness identities downstream stay meaningful.
 """
 import numpy as np
@@ -16,6 +20,7 @@ __all__ = [
     "factor_logdet",
     "chol_solve",
     "quad_form",
+    "inv_factor",
     "inv_pd",
     "log_sum_exp",
 ]
@@ -83,6 +88,13 @@ def quad_form(L, x):
         return 0.0
     z = np.linalg.solve(L, x)
     return float(z @ z)
+
+
+def inv_factor(L):
+    """L^{-1} for a lower Cholesky factor L of A (0x0 for d = 0): then
+    x' A^{-1} x = ||L^{-1} x||^2, and L^{-T} z with z standard normal is
+    a N(0, A^{-1}) draw."""
+    return np.linalg.solve(L, np.eye(L.shape[0]))
 
 
 def inv_pd(a, what="matrix"):

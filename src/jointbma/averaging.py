@@ -232,8 +232,9 @@ class KPolicy:
             raise ContractError(
                 f"unknown odds policy {self.kind!r}; expected 'fixed' or "
                 "'proportional_inverse_c'")
-        if not (float(self.k0) > 0.0):
-            raise ContractError(f"k0 must be positive, got {self.k0}")
+        if not 0.0 < float(self.k0) < math.inf:
+            raise ContractError(
+                f"k0 must be positive and finite, got {self.k0}")
         object.__setattr__(self, "k0", float(self.k0))
 
     @classmethod
@@ -287,10 +288,13 @@ def shrinkage_curve(n, beta_hat, sigma2, k_policy, inv_c2_grid):
     n = float(n)
     sigma2 = float(sigma2)
     beta_hat = float(beta_hat)
-    if not (n > 0.0):
-        raise ContractError(f"n must be positive, got {n}")
-    if not (sigma2 > 0.0):
-        raise ContractError(f"sigma2 must be positive, got {sigma2}")
+    if not 0.0 < n < math.inf:
+        raise ContractError(f"n must be positive and finite, got {n}")
+    if not 0.0 < sigma2 < math.inf:
+        raise ContractError(
+            f"sigma2 must be positive and finite, got {sigma2}")
+    if not math.isfinite(beta_hat):
+        raise ContractError(f"beta_hat must be finite, got {beta_hat}")
     inv_c2_grid = np.atleast_1d(np.asarray(inv_c2_grid, dtype=float))
     if inv_c2_grid.size == 0 or np.any(inv_c2_grid <= 0.0) or \
             not np.all(np.isfinite(inv_c2_grid)):

@@ -362,8 +362,13 @@ def load_config(path, seed_override=None, out_override=None,
         mode = section.get("mode", "exact").strip()
         if mode not in ("exact", "gelfand"):
             raise ParseError(f"unknown cv mode {mode!r}")
-        covariates = tuple(int(v) for v in
-                           _csv_list(section.get("covariates", "")))
+        raw = section.get("covariates", "")
+        try:
+            covariates = tuple(int(v) for v in _csv_list(raw))
+        except ValueError:
+            raise ParseError(
+                f"config key [cv] covariates = {raw.strip()!r} is not a "
+                "list of 1-based indices") from None
         if any(v < 1 for v in covariates):
             raise ParseError("cv covariates are 1-based indices")
         cv = CvConfig(mode=mode,

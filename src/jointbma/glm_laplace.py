@@ -17,7 +17,7 @@ identically. 'at_mle' expands around the unpenalized maximum and prices
 the prior at that point, the classical O(n^{-1}) flavor. Both are tagged
 on the result so downstream normalization knows what it is averaging.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -55,6 +55,8 @@ class ContingencyTable:
 
     spec: object
     counts: np.ndarray
+    _designs: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=float).reshape(-1)
@@ -78,6 +80,16 @@ class ContingencyTable:
         shape = [l for _, l in self.spec.factors]
         grid = np.indices(shape).reshape(len(shape), -1).T
         return grid
+
+    def design(self, m):
+        """build_design of model m on this table's grid, built once per
+        table and model and shared read-only by every caller."""
+        design = self._designs.get(m)
+        if design is None:
+            design = build_design(self.spec, m)
+            design.X.flags.writeable = False
+            self._designs[m] = design
+        return design
 
 
 def _factor_codes(levels):
@@ -162,7 +174,7 @@ class PoissonLogLinear:
 
     def loglik(self, beta):
         eta = self.X @ beta
-        return float(self.y @ eta - np.sum(np.exp(eta))) - self._log_y_fact
+        return float(self.y @ eta - np.exp(eta).sum()) - self._log_y_fact
 
     def grad(self, beta):
         lam = np.exp(self.X @ beta)
@@ -358,8 +370,7 @@ def log_marginal_laplace_model(model, prior, variant="at_map",
 def log_marginal_laplace(table, m, prior, variant="at_map",
                          tol=1e-8, max_iter=100):
     """Laplace log marginal of one log-linear model on a table."""
-    design = build_design(table.spec, m)
-    model = PoissonLogLinear(design.X, table.counts)
+    model = PoissonLogLinear(table.design(m).X, table.counts)
     return log_marginal_laplace_model(model, prior, variant=variant,
                                       tol=tol, max_iter=max_iter)
 
@@ -374,8 +385,11 @@ def _per_term(setting, term, what):
     return setting
 
 
-def _spec_of(table_or_spec):
-    return getattr(table_or_spec, "spec", table_or_spec)
+def _design_of(table_or_spec, m):
+    """A table's shared design of m, or a fresh one on a bare spec."""
+    if isinstance(table_or_spec, ContingencyTable):
+        return table_or_spec.design(m)
+    return build_design(table_or_spec, m)
 
 
 def term_block_prior(table_or_spec, m, scales, metric="information",
@@ -388,7 +402,7 @@ def term_block_prior(table_or_spec, m, scales, metric="information",
     optionally sets per-term prior means. Accepts a table or a bare
     FactorSpec; only the grid is needed.
     """
-    design = build_design(_spec_of(table_or_spec), m)
+    design = _design_of(table_or_spec, m)
     blocks = []
     for term, start, stop in design.ranges:
         size = stop - start
@@ -415,7 +429,7 @@ def unit_info_for_model(table_or_spec, m, beta_ref=None, sample_size=None):
     observations; pass the total count explicitly for conventions that
     scale with individuals instead. Accepts a table or a bare
     FactorSpec."""
-    design = build_design(_spec_of(table_or_spec), m)
+    design = _design_of(table_or_spec, m)
     d = design.X.shape[1]
     if beta_ref is None:
         beta_ref = np.zeros(d)

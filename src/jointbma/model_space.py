@@ -378,7 +378,12 @@ class Baseline:
 
     @classmethod
     def calibrated(cls, n0, psi0):
-        return cls(kind="calibrated", n0=float(n0), psi0=float(psi0))
+        n0, psi0 = float(n0), float(psi0)
+        if not (math.isfinite(n0) and math.isfinite(psi0)):
+            raise SpecificationError(
+                f"calibrated baseline needs finite n0 and psi0; got "
+                f"n0={n0}, psi0={psi0}")
+        return cls(kind="calibrated", n0=n0, psi0=psi0)
 
     @classmethod
     def from_table(cls, log_p_by_model):

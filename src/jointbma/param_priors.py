@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from ._linalg import chol_factor, chol_logdet, chol_solve, factor_logdet, \
-    quad_form
+    inv_factor
 from .exceptions import ContractError, SpecificationError
 
 __all__ = [
@@ -301,20 +301,24 @@ def log_prior_density(beta, prior):
     if beta.shape != (prior.d,):
         raise ContractError(
             f"beta shape {beta.shape} does not match prior dimension {prior.d}")
-    L, const = _factor_prior(prior)
-    return _log_density_factored(beta, prior.mu, L, const)
+    _, W, const = _factor_prior(prior)
+    return _log_density_factored(beta, prior.mu, W, const)
 
 
 def _factor_prior(prior):
-    """Cholesky factor L of V and the density constant d log 2pi + log|V|,
-    for callers that evaluate one prior's density many times."""
+    """Cholesky factor L of V, its inverse W = L^{-1}, and the density
+    constant d log 2pi + log|V|, for callers that evaluate one prior's
+    density many times."""
     L = chol_factor(prior.variance(), "prior variance V")
-    return L, prior.d * math.log(2.0 * math.pi) + factor_logdet(L)
+    const = prior.d * math.log(2.0 * math.pi) + factor_logdet(L)
+    return L, inv_factor(L), const
 
 
-def _log_density_factored(beta, mu, L, const):
-    """Log N(mu, V) density at beta from _factor_prior's terms; beta must
+def _log_density_factored(beta, mu, W, const):
+    """Log N(mu, V) density at beta from _factor_prior's W and constant,
+    with the quadratic form taken as ||W (beta - mu)||^2; beta must
     already have mu's shape."""
-    if L.shape[0] == 0:
+    if W.shape[0] == 0:
         return 0.0
-    return -0.5 * (const + quad_form(L, beta - mu))
+    z = W @ (beta - mu)
+    return -0.5 * (const + float(z @ z))

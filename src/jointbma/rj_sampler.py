@@ -24,10 +24,10 @@ import math
 
 import numpy as np
 
-from ._linalg import chol_solve, factor_logdet
+from ._linalg import chol_solve, factor_logdet, inv_factor
 from .exceptions import ContractError
 from .glm_laplace import ContingencyTable, PoissonLogLinear, _map_laplace, \
-    build_design, unit_info_for_model
+    unit_info_for_model
 from .linear_exact import LinearDataset, log_marginal_nig
 from .model_space import FactorSpec, LinearSubsets, \
     log_prior_model_weight, model_lookup
@@ -36,7 +36,6 @@ from .param_priors import InformationSource, _factor_prior, \
 
 __all__ = [
     "SamplerConfig",
-    "ChainState",
     "RjChain",
     "ModelProbEstimate",
     "rjmcmc_run",
@@ -78,15 +77,6 @@ class SamplerConfig:
             raise ContractError("within_model_scale must be positive")
         if self.start_index < 0:
             raise ContractError("start_index must be nonnegative")
-
-
-@dataclass
-class ChainState:
-    """Current position of the joint chain."""
-
-    model_index: int
-    beta: np.ndarray
-    log_target: float
 
 
 @dataclass(frozen=True)
@@ -256,10 +246,8 @@ def rjmcmc_run(space, priors, policy, data, config):
     rng = np.random.Generator(np.random.Philox(config.seed))
     neighbors = _neighbor_lists(models)
     if isinstance(data, ContingencyTable):
-        likelihoods = {}
-        for m in models:
-            design = build_design(data.spec, m)
-            likelihoods[m] = PoissonLogLinear(design.X, data.counts)
+        likelihoods = {m: PoissonLogLinear(data.design(m).X, data.counts)
+                       for m in models}
         lw = _policy_weights(models, priors, policy, data)
         return _run_joint(models, priors, lw, likelihoods, config, rng,
                           neighbors, kind="glm")
@@ -318,86 +306,85 @@ def _run_linear_collapsed(models, log_targets, config):
 
 def _run_joint(models, priors, lw, likelihoods, config, rng, neighbors,
                kind):
-    # The prior terms are factored once per run and live only as long as
-    # it does; caching them on ParamPrior would keep a factor alive for
-    # every prior a caller holds.
-    modes, chols, lds, step_sds, prior_terms = [], [], [], [], []
-    for m in models:
+    # Everything a log target or a proposal needs is formed once per run
+    # and lives only as long as it does; caching it on ParamPrior would
+    # keep a factor alive for every prior a caller holds. The loop then
+    # does matmuls only: the prior quadratic form through W_V = L_V^{-1},
+    # a proposal draw through L^{-T}.
+    modes, chols, inv_chol_ts, q_consts, step_sds, targets = \
+        [], [], [], [], [], []
+    for i, m in enumerate(models):
         prior = priors[m]
         if likelihoods[m].dim != prior.d:
             raise ContractError(
                 f"likelihood dimension {likelihoods[m].dim} does not match "
                 f"prior dimension {prior.d} for model {m.label()}")
-        L_V, const = _factor_prior(prior)
-        prior_terms.append((prior.mu, L_V, const))
+        L_V, W_V, const = _factor_prior(prior)
+        targets.append(_log_target(lw[i], prior.mu, W_V, const,
+                                   likelihoods[m].loglik))
         # The Laplace proposal N(mode, (V^{-1} - H)^{-1}); its standard
         # deviations also scale the within-model random walk.
         fit, L = _map_laplace(likelihoods[m], prior, L_V)
         modes.append(fit.beta)
         chols.append(L)
-        lds.append(factor_logdet(L))
+        inv_chol_ts.append(inv_factor(L).T)
+        q_consts.append(prior.d * math.log(2.0 * math.pi) - factor_logdet(L))
         cov = chol_solve(L, np.eye(prior.d))
         step_sds.append(config.within_model_scale * np.sqrt(np.diag(cov)))
-
-    def q_draw(i):
-        z = rng.standard_normal(modes[i].shape[0])
-        return modes[i] + np.linalg.solve(chols[i].T, z)
+    log_degree = [math.log(len(nbr)) if nbr else 0.0 for nbr in neighbors]
 
     def q_logpdf(i, beta):
-        d = modes[i].shape[0]
         u = chols[i].T @ (beta - modes[i])
-        return -0.5 * (d * math.log(2.0 * math.pi) - lds[i] + float(u @ u))
-
-    def log_target(i, beta):
-        return (lw[i] + _log_density_factored(beta, *prior_terms[i])
-                + likelihoods[models[i]].loglik(beta))
+        return -0.5 * (q_consts[i] + float(u @ u))
 
     idx = config.start_index
     beta = modes[idx].copy()
-    value = log_target(idx, beta)
-    state = ChainState(model_index=idx, beta=beta, log_target=value)
+    value = targets[idx](beta)
 
     trace = np.zeros(config.iterations, dtype=np.int64)
-    targets = np.zeros(config.iterations)
+    values = np.zeros(config.iterations)
     coef = [] if config.store_coefficients else None
     attempt_jump = accept_jump = attempt_within = accept_within = 0
     for it in range(config.iterations):
-        do_jump = rng.random() < config.jump_prob and neighbors[state.model_index]
-        if do_jump:
+        nbr = neighbors[idx]
+        if rng.random() < config.jump_prob and nbr:
             attempt_jump += 1
-            nbr = neighbors[state.model_index]
             prop_idx = nbr[int(rng.integers(len(nbr)))]
-            prop_beta = q_draw(prop_idx)
-            prop_value = log_target(prop_idx, prop_beta)
-            log_alpha = (prop_value - state.log_target
-                         + q_logpdf(state.model_index, state.beta)
+            z = rng.standard_normal(modes[prop_idx].shape[0])
+            prop_beta = modes[prop_idx] + inv_chol_ts[prop_idx] @ z
+            prop_value = targets[prop_idx](prop_beta)
+            log_alpha = (prop_value - value
+                         + q_logpdf(idx, beta)
                          - q_logpdf(prop_idx, prop_beta)
-                         + math.log(len(nbr))
-                         - math.log(len(neighbors[prop_idx])))
+                         + log_degree[idx] - log_degree[prop_idx])
             if math.log(rng.random()) < log_alpha:
-                state = ChainState(model_index=prop_idx, beta=prop_beta,
-                                   log_target=prop_value)
+                idx, beta, value = prop_idx, prop_beta, prop_value
                 accept_jump += 1
         else:
             attempt_within += 1
-            i = state.model_index
-            new_beta, new_value, ok = rwm_step(
-                lambda b: log_target(i, b), state.beta, state.log_target,
-                step_sds[i], rng)
+            beta, value, ok = rwm_step(targets[idx], beta, value,
+                                       step_sds[idx], rng)
             if ok:
                 accept_within += 1
-            state = ChainState(model_index=i, beta=new_beta,
-                               log_target=new_value)
-        trace[it] = state.model_index
-        targets[it] = state.log_target
+        trace[it] = idx
+        values[it] = value
         if coef is not None:
-            coef.append(state.beta.copy())
-    return RjChain(models=models, model_index=trace, log_target=targets,
+            coef.append(beta.copy())
+    return RjChain(models=models, model_index=trace, log_target=values,
                    config=config, kind=kind,
                    attempt_jump=attempt_jump, accept_jump=accept_jump,
                    attempt_within=attempt_within,
                    accept_within=accept_within,
                    coefficients=tuple(coef) if coef is not None else None)
+
+
+def _log_target(log_weight, mu, W_V, const, loglik):
+    """One model's joint log target beta -> log weight + log prior
+    density + log-likelihood, from _factor_prior's terms."""
+    def target(beta):
+        return log_weight + _log_density_factored(beta, mu, W_V, const) \
+            + loglik(beta)
+    return target
 
 
 def estimate_model_probs(chain, burn_in=None, thin=None):

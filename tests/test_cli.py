@@ -691,6 +691,43 @@ def test_sigma2_prior_checked_only_where_used(tmp_path, capsys, sigma2,
     capsys.readouterr()
 
 
+SHRINKAGE_GRID = "inv_c2_grid = 1e-4,1e-2,3\n"
+
+
+@pytest.mark.parametrize("task, section, message", [
+    ("cv", "[cv]\ncovariates = 1.5\n", "[cv] covariates = '1.5'"),
+    ("cv", "[cv]\ncovariates = 2, x\n", "[cv] covariates = '2, x'"),
+    ("sweep", "[policy]\nbaseline = calibrated\nn0 = nan\npsi0 = 1\n",
+     "finite n0 and psi0"),
+    ("sweep", "[policy]\nbaseline = calibrated\nn0 = 24\npsi0 = inf\n",
+     "finite n0 and psi0"),
+    ("shrinkage", "[shrinkage]\nn = 1e400\n" + SHRINKAGE_GRID,
+     "n must be positive and finite"),
+    ("shrinkage", "[shrinkage]\nsigma2 = inf\n" + SHRINKAGE_GRID,
+     "sigma2 must be positive and finite"),
+    ("shrinkage", "[shrinkage]\nbeta_hat = nan\n" + SHRINKAGE_GRID,
+     "beta_hat must be finite"),
+    ("shrinkage", "[shrinkage]\nk_policy = proportional_inverse_c\n"
+     "k0 = 1e400\n" + SHRINKAGE_GRID, "k0 must be positive and finite"),
+], ids=["cv-covariate-float", "cv-covariate-text", "calibrated-n0-nan",
+        "calibrated-psi0-inf", "shrinkage-n-inf", "shrinkage-sigma2-inf",
+        "shrinkage-beta-hat-nan", "shrinkage-k0-inf"])
+def test_malformed_or_non_finite_key_exits_2(tmp_path, capsys, task,
+                                             section, message):
+    data_path = str(tmp_path / "d.csv")
+    write_linear_csv(small_dataset(n=20, p=2), data_path)
+    cfg = write_config(tmp_path, (
+        f"[experiment]\ntask = {task}\n\n"
+        f"[data]\nsource = csv\npath = {data_path}\n\n"
+        f"[prior]\nc2_grid = 1e0,1e2,3\n\n{section}"))
+    assert main([task, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+
+
 @pytest.mark.parametrize("task", ["sweep", "cv"])
 def test_sweep_error_names_grid_point(tmp_path, capsys, task):
     # lambda is only validated where it is used, so a bad sigma^2 prior

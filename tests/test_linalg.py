@@ -1,10 +1,11 @@
 """Cholesky kernel against direct numpy/scipy evaluations."""
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from jointbma._linalg import COND_CAP, chol_factor, chol_logdet, \
-    chol_solve, inv_pd, log_sum_exp, quad_form
+    chol_solve, inv_factor, inv_pd, log_sum_exp, quad_form
 from jointbma.exceptions import NumericalDomainError
 
 
@@ -48,6 +49,28 @@ def test_chol_solve_and_quad_form():
     assert np.allclose(a @ x, b, atol=1e-9)
     assert quad_form(L, b) == pytest.approx(b @ np.linalg.solve(a, b),
                                             rel=1e-10)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_inv_factor_matches_triangular_solve_oracles(d, seed):
+    # The joint chain's matmul forms against the triangular solves they
+    # replace: ||L^{-1} x||^2 against quad_form, and a proposal
+    # mode + L^{-T} z against mode + solve(L', z).
+    rng = np.random.default_rng(seed)
+    a = random_spd(rng, d) * 10.0 ** rng.uniform(-3.0, 3.0)
+    L = chol_factor(a)
+    W = inv_factor(L)
+    assert W.shape == (d, d)
+    x = 3.0 * rng.standard_normal(d)
+    z = W @ x
+    assert float(z @ z) == pytest.approx(quad_form(L, x), rel=1e-12, abs=0.0)
+    mode = rng.standard_normal(d)
+    draw = rng.standard_normal(d)
+    offset = np.linalg.solve(L.T, draw)
+    np.testing.assert_allclose(
+        mode + W.T @ draw, mode + offset, rtol=1e-12,
+        atol=1e-12 * float(np.max(np.abs(offset), initial=0.0)))
 
 
 def test_inv_pd():

@@ -1,15 +1,18 @@
 """Parameter priors, base metrics, and information sources."""
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+from jointbma._linalg import quad_form
 from jointbma.exceptions import ContractError
 from jointbma.model_space import ModelId
 from jointbma.param_priors import InformationSource, ParamPrior, TermBlock, \
-    blockwise_prior, fisher_info_poisson, gprior_base, linear_design, \
-    log_prior_density, prior_for_linear_model, unit_information_count
+    _factor_prior, _log_density_factored, blockwise_prior, \
+    fisher_info_poisson, gprior_base, linear_design, log_prior_density, \
+    prior_for_linear_model, unit_information_count
 
 
 def test_param_prior_validation():
@@ -149,6 +152,28 @@ def test_log_prior_density_matches_scipy():
                                                            rel=1e-12)
     d0 = ParamPrior(mu=np.zeros(0), sigma_base=np.zeros((0, 0)), c2=1.0)
     assert log_prior_density(np.zeros(0), d0) == 0.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_factored_density_matches_quad_form_oracle(d, seed):
+    # The density through W = L^{-1} against the same density with the
+    # quadratic form solved against L; the public density is the same
+    # formula, and the empty model's density is 0.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d + 2))
+    prior = ParamPrior(mu=rng.standard_normal(d),
+                       sigma_base=a @ a.T + np.eye(d),
+                       c2=10.0 ** rng.uniform(-3.0, 3.0))
+    beta = prior.mu + 3.0 * rng.standard_normal(d)
+    L, W, const = _factor_prior(prior)
+    quad = quad_form(L, beta - prior.mu)
+    oracle = -0.5 * (const + quad)
+    value = _log_density_factored(beta, prior.mu, W, const)
+    assert abs(value - oracle) <= 1e-12 * 0.5 * (abs(const) + quad)
+    assert log_prior_density(beta, prior) == value
+    if d == 0:
+        assert value == 0.0
 
 
 def test_poisson_source_matches_loglik_curvature():

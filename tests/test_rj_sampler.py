@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import jointbma
+from jointbma import glm_laplace
 from jointbma.averaging import normalize_posterior
 from jointbma.exceptions import ContractError
 from jointbma.glm_laplace import ContingencyTable, GaussianKnownVar, \
@@ -328,6 +329,26 @@ def test_table_chain_log_target_equals_public_density():
         expected = (log_prior_model_weight(m, policy, prior=priors[m])
                     + log_prior_density(beta, priors[m]) + loglik(beta))
         assert chain.log_target[it] == expected, it
+
+
+def test_table_route_builds_each_design_once(monkeypatch):
+    # The priors, the information-adjusted weights and the likelihoods of
+    # one table share one read-only design per model.
+    table, models, _ = three_way_table()
+    built = []
+    build = glm_laplace.build_design
+
+    def counting_build(spec, m, grid=None):
+        built.append(m)
+        return build(spec, m, grid)
+
+    monkeypatch.setattr(glm_laplace, "build_design", counting_build)
+    priors = {m: term_block_prior(table, m, scales=2.0) for m in models}
+    policy = ModelPriorPolicy(variant="adjusted_info")
+    rjmcmc_run(list(models), priors, policy, table,
+               SamplerConfig(iterations=50, seed=5))
+    assert sorted(built, key=models.index) == list(models)
+    assert not table.design(models[0]).X.flags.writeable
 
 
 def test_table_chain_through_empty_model_matches_public_density():
