@@ -8,6 +8,7 @@ in place of a triangular solve; the result can differ from quad_form's
 in the last bits. Near-singular matrices (condition number above
 COND_CAP estimated from the factor) are rejected rather than
 regularized, so exactness identities downstream stay meaningful.
+chol_factor and factor_logdet also take a stack of matrices.
 """
 import numpy as np
 
@@ -16,6 +17,7 @@ from .exceptions import NumericalDomainError
 __all__ = [
     "COND_CAP",
     "chol_factor",
+    "check_factor",
     "chol_logdet",
     "factor_logdet",
     "chol_solve",
@@ -30,29 +32,36 @@ COND_CAP = 1e12
 
 def _as_sym(a):
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NumericalDomainError(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def chol_factor(a, what="matrix"):
-    """Lower Cholesky factor of a symmetric positive definite matrix.
+    """Lower Cholesky factor of a symmetric positive definite matrix, or
+    of each in a stack (..., d, d).
 
-    Raises NumericalDomainError when the factorization fails or when the
+    Raises NumericalDomainError when a factorization fails or when a
     factor indicates a condition number above COND_CAP. Zero-dimensional
     input returns an empty factor (log-determinant 0 by convention).
     """
     a = _as_sym(a)
-    if a.shape[0] == 0:
-        return np.zeros((0, 0))
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape)
     try:
         L = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalDomainError(f"{what} is not positive definite") from exc
-    diag = np.diag(L)
+    return check_factor(L, what)
+
+
+def check_factor(L, what="matrix"):
+    """L, after chol_factor's conditioning rule on that lower Cholesky
+    factor, or on each factor in a stack."""
+    diag = L.diagonal(axis1=-2, axis2=-1)
     # cond2(A) = cond2(L)^2 and the diagonal ratio is a cheap lower bound
     # on cond2(L); good enough to fence off the pathological cases.
-    ratio = diag.max() / diag.min()
+    ratio = (diag.max(axis=-1) / diag.min(axis=-1)).max()
     if ratio * ratio > COND_CAP:
         raise NumericalDomainError(
             f"{what} is numerically singular (condition estimate "
@@ -67,10 +76,10 @@ def chol_logdet(a, what="matrix"):
 
 
 def factor_logdet(L):
-    """log|A| given the lower Cholesky factor L of A (0.0 for 0x0)."""
-    if L.shape[0] == 0:
-        return 0.0
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
+    """log|A| given the lower Cholesky factor L of A (0.0 for 0x0), or
+    the array of log|A| over a stack of factors."""
+    logdet = 2.0 * np.log(L.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
+    return float(logdet) if L.ndim == 2 else logdet
 
 
 def chol_solve(L, b):

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from ._linalg import COND_CAP, log_sum_exp
+from ._linalg import log_sum_exp
 from .averaging import shrinkage_curve
 from .config import TASKS, load_config
 from .datasets import load_contingency_csv, load_linear_csv, simulate_dfn, \
@@ -30,10 +30,9 @@ from .datasets import load_contingency_csv, load_linear_csv, simulate_dfn, \
 from .exceptions import CapacityError, ContractError, ConvergenceError, \
     DegenerateDataError, NumericalDomainError, ParseError, SpecificationError
 from .glm_laplace import term_block_prior
-from .linear_exact import GPRIOR_SWEEP_VARIANTS, LinearDataset, \
+from .linear_exact import LinearDataset, _subset_log_targets, \
     all_subsets_stats, cv_score_from_lpd, gprior_sweep, loo_log_predictives
-from .model_space import enumerate_hierarchical_models, \
-    enumerate_linear_models
+from .model_space import enumerate_hierarchical_models
 from .param_priors import prior_for_linear_model
 from .rj_sampler import SamplerConfig, _policy_weights, \
     _run_linear_collapsed, estimate_model_probs, rjmcmc_run
@@ -43,20 +42,6 @@ __all__ = ["ResultTable", "run_sweep", "main"]
 # Enumerated CLI routes build a prior and a marginal for every subset;
 # past this many covariates that work belongs to the sampler.
 MAX_CLI_ENUM = 15
-
-# The linear rjmcmc route takes its log targets from the all-subsets pass
-# only where the per-model route provably raises nothing, so that both
-# reject the same inputs. Every Gram matrix, prior variance, information
-# matrix and posterior precision the per-model route factors is a
-# principal submatrix of [1 X]'[1 X], or a multiple of one or of its
-# inverse, so by Cauchy interlacing none has a larger condition number;
-# FAST_COND keeps that far below COND_CAP. The per-model residual
-# quantity s carries rounding of about eps * cond * y'y, which FAST_S_TOL
-# keeps away from zero, and FAST_V_RANGE keeps every entry of
-# c^2 n (X_m'X_m)^{-1} far from overflow and underflow.
-FAST_COND = COND_CAP * 1e-6
-FAST_S_TOL = 1e-6
-FAST_V_RANGE = 1e150
 
 
 def _fmt(value):
@@ -318,37 +303,14 @@ def _cmd_cv(cfg):
             n=data.n, p=data.p))
 
 
-def _gprior_log_targets(data, prior, policy):
-    """Log targets of the collapsed linear walk from one all-subsets pass,
-    as (models, log_targets), or None where the per-model route decides:
-    under a g-prior base the weight of a sweep variant depends on the
-    model only through d and the marginal only through R^2, so each
-    target is one entry of gprior_sweep's log weights. prior is the
-    config's [prior] section."""
-    if prior.template != "gprior" or \
-            policy.variant not in GPRIOR_SWEEP_VARIANTS or \
-            not data.tss > 0.0:
-        return None
-    design = np.hstack([np.ones((data.n, 1)), data.X])
-    eig = np.linalg.eigvalsh(design.T @ design)
-    if not eig[0] * FAST_COND >= eig[-1]:
-        return None
-    v_range = prior.c2 * data.n / eig[[-1, 0]]
-    if not (1.0 / FAST_V_RANGE < v_range[0] and v_range[1] < FAST_V_RANGE):
-        return None
-    stats = all_subsets_stats(data)
-    nc2 = stats.n * prior.c2
-    s_min = (stats.yty + nc2 * stats.tss * (1.0 - stats.r2.max())) \
-        / (1.0 + nc2)
-    if not s_min > FAST_S_TOL * stats.yty:
-        return None
-    sweep = gprior_sweep(stats, [prior.c2], policy, prior.alpha, prior.lam)
-    return stats.models, sweep.log_weights[0]
-
-
 def _cmd_rjmcmc(cfg):
     policy = cfg.policies[0]
-    fast = None
+    sampler = SamplerConfig(iterations=cfg.rjmcmc.iterations,
+                            burn_in=cfg.rjmcmc.burn_in,
+                            thin=cfg.rjmcmc.thin,
+                            seed=cfg.seed,
+                            jump_prob=cfg.rjmcmc.jump_prob,
+                            within_model_scale=cfg.rjmcmc.within_scale)
     if cfg.space is not None:
         if cfg.prior.template != "term_blocks":
             raise ParseError(
@@ -361,7 +323,9 @@ def _cmd_rjmcmc(cfg):
                                       means=cfg.prior.means,
                                       c2=cfg.prior.c2)
                   for m in models}
-        data = table
+        chain = rjmcmc_run(models, priors, policy, table, sampler)
+        # Nothing past the chain reads the table or the designs it caches.
+        del table, priors
         route = "loglinear"
     else:
         data = _load_linear(cfg)
@@ -372,25 +336,10 @@ def _cmd_rjmcmc(cfg):
         if cfg.prior.template not in ("gprior", "identity"):
             raise ParseError(
                 "linear sampling uses [prior] template=gprior or identity")
-        fast = _gprior_log_targets(data, cfg.prior, policy)
-        if fast is None:
-            models = enumerate_linear_models(data.p)
-            priors = {m: prior_for_linear_model(data.X, m, cfg.prior.c2,
-                                                alpha=cfg.prior.alpha,
-                                                lam=cfg.prior.lam,
-                                                base=cfg.prior.template)
-                      for m in models}
+        chain = _run_linear_collapsed(*_subset_log_targets(
+            data, policy, cfg.prior.c2, alpha=cfg.prior.alpha,
+            lam=cfg.prior.lam, base=cfg.prior.template), sampler)
         route = "linear"
-    sampler = SamplerConfig(iterations=cfg.rjmcmc.iterations,
-                            burn_in=cfg.rjmcmc.burn_in,
-                            thin=cfg.rjmcmc.thin,
-                            seed=cfg.seed,
-                            jump_prob=cfg.rjmcmc.jump_prob,
-                            within_model_scale=cfg.rjmcmc.within_scale)
-    if fast is not None:
-        chain = _run_linear_collapsed(*fast, sampler)
-    else:
-        chain = rjmcmc_run(models, priors, policy, data, sampler)
     est = estimate_model_probs(chain)
     rows = []
     for pos in np.argsort(-est.probs, kind="stable"):

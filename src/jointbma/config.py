@@ -66,8 +66,8 @@ def _grid(raw):
     if len(parts) != 3:
         raise ValueError("expected 'low,high,count'")
     low, high, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if not (0.0 < low <= high) or count < 1:
-        raise ValueError("grid needs 0 < low <= high and count >= 1")
+    if not (0.0 < low <= high < np.inf) or count < 1:
+        raise ValueError("grid needs 0 < low <= high < inf and count >= 1")
     if count == 1:
         return np.array([low])
     return np.geomspace(low, high, count)

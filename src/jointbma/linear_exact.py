@@ -29,7 +29,8 @@ import math
 
 import numpy as np
 
-from ._linalg import chol_factor, chol_solve, factor_logdet, log_sum_exp
+from ._linalg import check_factor, chol_factor, chol_solve, factor_logdet, \
+    log_sum_exp
 from .averaging import LogMarginal, ModelPosterior
 from .exceptions import ContractError, DegenerateDataError, JointBmaError, \
     SpecificationError
@@ -103,11 +104,6 @@ class LinearDataset:
     @property
     def yty(self):
         return float(self.y @ self.y)
-
-    @property
-    def tss(self):
-        yc = self.y - self.y.mean()
-        return float(yc @ yc)
 
     def drop(self, j):
         j = int(j)
@@ -454,17 +450,17 @@ class SweepResult:
         return [self.models[i] for i in np.argmax(self.log_posterior, axis=1)]
 
 
-def _baseline_log_p(baseline, stats):
-    """Baseline log p(m) of every subset in stats: evaluated over stats.d
-    for the rules that depend on the model only through d, per model for
-    a table."""
+def _baseline_log_p(baseline, models):
+    """Baseline log p(m) of every subset of a LinearSubsets space:
+    evaluated over models.d for the rules that depend on the model only
+    through d, per model for a table."""
     if baseline.kind == "constant":
-        return np.zeros(stats.d.shape)
+        return np.zeros(models.d.shape)
     if baseline.kind == "dimension":
-        return stats.d * baseline.log_weight
+        return models.d * baseline.log_weight
     if baseline.kind == "calibrated":
-        return calibrate_p(stats.d, baseline.n0, baseline.psi0)
-    return np.array([baseline.log_p(m) for m in stats.models])
+        return calibrate_p(models.d, baseline.n0, baseline.psi0)
+    return np.array([baseline.log_p(m) for m in models])
 
 
 def gprior_sweep(data, c2_grid, policy, alpha=0.0, lam=0.0):
@@ -485,7 +481,7 @@ def gprior_sweep(data, c2_grid, policy, alpha=0.0, lam=0.0):
     if c2_grid.size == 0 or np.any(c2_grid <= 0.0):
         raise ContractError("c2_grid must contain positive scales")
     stats = data if isinstance(data, AllSubsets) else all_subsets_stats(data)
-    baseline = _baseline_log_p(policy.baseline, stats)
+    baseline = _baseline_log_p(policy.baseline, stats.models)
     if policy.variant not in GPRIOR_SWEEP_VARIANTS:
         raise SpecificationError(
             f"policy variant {policy.variant!r} needs per-model matrices; "
@@ -505,3 +501,79 @@ def gprior_sweep(data, c2_grid, policy, alpha=0.0, lam=0.0):
     return SweepResult(models=stats.models, c2_grid=c2_grid,
                        log_weights=log_weights, log_posterior=log_post,
                        convention=convention)
+
+
+def _subset_log_targets(data, policy, c2, alpha=0.0, lam=0.0, base="gprior"):
+    """(models, log targets) of the collapsed linear walk over every
+    intercept-containing subset: the log prior weight plus the conjugate
+    log marginal that log_prior_model_weight and posterior_moments give
+    each model under prior_for_linear_model's prior, base "gprior" or
+    "identity". With G = [1 X_S]'[1 X_S] and b = [1 X_S]'y, the prior V is
+    c^2 n G^{-1} or c^2 I, the posterior precision A = G + V^{-1}, and
+    s = y'y - b'A^{-1}b. Each subset size is factored as one batch under
+    chol_factor's rule on the matrices the per-model route factors, and s
+    meets posterior_moments' rules, so both routes reject the same inputs.
+    """
+    c2 = float(c2)
+    if not (c2 > 0.0) or not math.isfinite(c2):
+        raise ContractError(f"c2 must be positive and finite, got {c2}")
+    head, _ = _sigma2_head(data.n, alpha, lam)
+    n, yty, gprior = data.n, data.yty, base == "gprior"
+    models = LinearSubsets(data.p, intercept=True)
+    log_w = _baseline_log_p(policy.baseline, models)
+    info = policy.variant in ("adjusted_info", "loglinear_adjusted")
+    # Each subset's [F b; b' shrink y'y], F = A / shrink, is one gather
+    # from the Gram matrix of [1 X y]; its last pivot is shrink * s.
+    Zy = np.hstack([np.ones((n, 1)), data.X, data.y[:, None]])
+    gram = Zy.T @ Zy
+    shrink = 1.0 + 1.0 / (n * c2) if gprior else 1.0
+    what = "X'X" if gprior else "posterior precision"
+    ld_g, ld_f, s = (np.zeros(len(models)) for _ in range(3))
+    for k, rows, idx in models.blocks():
+        d = k + 1
+        cols = np.pad(idx + 1, ((0, 0), (1, 1)),
+                      constant_values=(0, data.p + 1))
+        M = gram[cols[:, :, None], cols[:, None, :]]
+        F = M[:, :d, :d]
+        if gprior:
+            # Reversed, G has a factor with the diagonal ratio of the
+            # factor of G^{-1}: this is the rule on the prior V.
+            chol_factor(F[:, ::-1, ::-1], "prior variance V")
+        else:
+            if info:
+                ld_g[rows] = factor_logdet(
+                    chol_factor(F, "unit information matrix"))
+            F += np.eye(d) / c2
+        M[:, d, d] *= shrink
+        try:
+            LM = np.linalg.cholesky(M)
+            L, pivot2 = check_factor(LM[:, :d, :d], what), LM[:, d, d] ** 2
+        except np.linalg.LinAlgError:
+            # s <= 0 in rounding, or an F that chol_factor rejects.
+            L = chol_factor(F, what)
+            z = np.linalg.solve(L, M[:, :d, d:])[:, :, 0]
+            pivot2 = M[:, d, d] - np.einsum("ij,ij->i", z, z)
+        ld_f[rows] = factor_logdet(L)
+        s[rows] = pivot2 / shrink
+
+    if np.any(s < -1e-8 * (yty + 1.0)):
+        raise ContractError(f"negative residual quantity s = {s.min()}")
+    s = np.maximum(s, 0.0)
+    if np.any(lam + 0.5 * s <= 0.0):
+        raise DegenerateDataError(
+            "perfect fit under the improper reference prior leaves the "
+            "marginal likelihood undefined; add observations or use a "
+            "proper sigma^2 prior")
+    d = models.d
+    ld_a = ld_f + d * log(shrink)
+    ld_g = ld_f if gprior else ld_g
+    ld_v = d * log(c2) + (d * log(n) - ld_g if gprior else 0.0)
+    if policy.variant == "adjusted_c":
+        log_w += 0.5 * d * log(c2)
+    elif info:
+        log_w += 0.5 * (ld_v + ld_g - d * log(n))
+    elif policy.variant == "adjusted_exact":
+        log_w += 0.5 * (ld_v + ld_a - d * log(n))
+    log_ml = (-0.5 * n * log(pi) + head - 0.5 * (ld_a + ld_v)
+              - (float(alpha) + 0.5 * n) * np.log(2.0 * lam + s))
+    return models, log_w + log_ml

@@ -73,8 +73,9 @@ class SamplerConfig:
         if not 0.0 <= self.jump_prob <= 1.0:
             raise ContractError(
                 f"jump_prob must lie in [0, 1], got {self.jump_prob}")
-        if not (self.within_model_scale > 0.0):
-            raise ContractError("within_model_scale must be positive")
+        if not 0.0 < self.within_model_scale < math.inf:
+            raise ContractError(
+                "within_model_scale must be positive and finite")
         if self.start_index < 0:
             raise ContractError("start_index must be nonnegative")
 

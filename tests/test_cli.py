@@ -11,6 +11,7 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import warnings
 
 from hypothesis import given, strategies as st
 import numpy as np
@@ -19,19 +20,20 @@ import pytest
 import jointbma
 from jointbma import LinearDataset
 from jointbma._linalg import log_sum_exp
-from jointbma.cli import _gprior_log_targets, _top_positions, main
-from jointbma.config import PriorConfig
+from jointbma.cli import _top_positions, main
 from jointbma.datasets import load_linear_csv, write_linear_csv
-from jointbma.exceptions import ConvergenceError
+from jointbma.exceptions import ConvergenceError, JointBmaError, \
+    NumericalDomainError
 from jointbma.glm_laplace import term_block_prior, unit_info_for_model
-from jointbma.linear_exact import GPRIOR_SWEEP_VARIANTS, gprior_sweep, \
+from jointbma.linear_exact import _subset_log_targets, gprior_sweep, \
     log_marginal_nig
-from jointbma.model_space import Baseline, FactorSpec, ModelId, \
-    ModelPriorPolicy, enumerate_hierarchical_models, \
+from jointbma.model_space import POLICY_VARIANTS, Baseline, FactorSpec, \
+    ModelId, ModelPriorPolicy, enumerate_hierarchical_models, \
     enumerate_linear_models, log_prior_model_weight
 from jointbma.param_priors import prior_for_linear_model
-from jointbma.rj_sampler import SamplerConfig, _policy_weights, \
-    _run_linear_collapsed, estimate_model_probs, rjmcmc_run
+from jointbma.rj_sampler import SamplerConfig, _linear_log_targets, \
+    _policy_weights, _run_linear_collapsed, estimate_model_probs, \
+    rjmcmc_run
 
 
 def small_dataset(seed=4, n=40, p=3):
@@ -332,9 +334,27 @@ def rjmcmc_config(tmp_path, data_path, c2="9", variant="adjusted_info",
         "[rjmcmc]\niterations = 3000\nburn_in = 300\n"), name=name)
 
 
+def per_model_log_targets(data, policy, c2, alpha=0.0, lam=0.0,
+                          base="gprior"):
+    """The per-model route: a prior and a conjugate update per subset."""
+    models = enumerate_linear_models(data.p)
+    priors = {m: prior_for_linear_model(data.X, m, c2, alpha=alpha, lam=lam,
+                                        base=base) for m in models}
+    return models, _linear_log_targets(models, priors, policy, data)
+
+
+def outcome(targets, *args):
+    """(exception class, None) when targets(*args) raises, else (None,
+    the log targets)."""
+    try:
+        return None, targets(*args)[1]
+    except JointBmaError as exc:
+        return type(exc), None
+
+
 def test_rjmcmc_gprior_targets_match_per_model_route():
-    # The all-subsets log targets against the generic route they replace:
-    # per-model weights plus conjugate marginals on per-model priors.
+    # The all-subsets log targets against the per-model route: per-model
+    # weights plus conjugate marginals on per-model priors.
     baselines = (Baseline.constant(), Baseline.dimension(-0.4),
                  Baseline.calibrated(24.0, 1.5))
     worst = 0.0
@@ -346,17 +366,73 @@ def test_rjmcmc_gprior_targets_match_per_model_route():
                                             lam=lam) for m in models}
         marginals = np.array([log_marginal_nig(data, m, priors[m]).value
                               for m in models])
-        prior_cfg = PriorConfig(c2=c2, alpha=alpha, lam=lam)
-        for variant, baseline in itertools.product(GPRIOR_SWEEP_VARIANTS,
+        for variant, baseline in itertools.product(POLICY_VARIANTS,
                                                    baselines):
             policy = ModelPriorPolicy(variant=variant, baseline=baseline)
-            fast = _gprior_log_targets(data, prior_cfg, policy)
-            assert fast is not None
-            assert list(fast[0]) == models
+            space, targets = _subset_log_targets(data, policy, c2, alpha,
+                                                 lam)
+            assert list(space) == models
             generic = _policy_weights(models, priors, policy, data) \
                 + marginals
-            worst = max(worst, float(np.max(np.abs(fast[1] - generic))))
+            worst = max(worst, float(np.max(np.abs(targets - generic))))
     assert worst <= 1e-10
+
+
+def stress_dataset(kind, level, n=30, p=4):
+    """A design with one column made awkward at scale 10^level."""
+    rng = np.random.Generator(np.random.Philox(level))
+    X = rng.standard_normal((n, p))
+    y = 1.0 + X[:, 0] - 0.5 * X[:, 1] + rng.standard_normal(n)
+    scale = 10.0 ** level
+    if kind == "shifted":
+        X[:, 1] += scale
+    elif kind == "rescaled":
+        X[:, 2] /= scale
+    elif kind == "near_duplicate":
+        X[:, 3] = X[:, 0] + rng.standard_normal(n) / scale
+    elif kind == "shifted_scaled":
+        X[:, 1] = scale + X[:, 1] / scale
+    return LinearDataset(y=y, X=X)
+
+
+def test_rjmcmc_subset_targets_match_per_model_route_on_stress_designs():
+    # Same exception class as the per-model route, and the same targets
+    # where both run on a well-conditioned design. Once [1 X]'[1 X] is
+    # singular to working precision (cond >= 1/eps), rounding alone
+    # decides whether a factor passes the conditioning rule, so the
+    # classes are compared below that.
+    outcomes = set()
+    for kind, level, base, (alpha, lam) in itertools.product(
+            ("shifted", "rescaled", "near_duplicate", "shifted_scaled"),
+            (2, 4, 6), ("gprior", "identity"), ((0.0, 0.0), (2.0, 3.0))):
+        data = stress_dataset(kind, level)
+        design = np.hstack([np.ones((data.n, 1)), data.X])
+        cond = np.linalg.cond(design.T @ design)
+        for variant in POLICY_VARIANTS:
+            args = (data, ModelPriorPolicy(variant=variant), 9.0, alpha,
+                    lam, base)
+            error, targets = outcome(_subset_log_targets, *args)
+            oracle_error, oracle = outcome(per_model_log_targets, *args)
+            outcomes.add(error)
+            if cond * np.finfo(float).eps < 1.0:
+                assert error == oracle_error, (kind, level, base, variant)
+            if error is None and oracle_error is None and cond <= 1e6:
+                assert np.max(np.abs(targets - oracle)) <= 1e-10
+    assert outcomes == {None, NumericalDomainError}
+
+
+def test_rjmcmc_subset_targets_match_per_model_route_at_perfect_fit():
+    # s is zero up to rounding, which the last pivot of an augmented
+    # factor cannot hold; a proper sigma^2 prior keeps every marginal
+    # defined on both routes.
+    rng = np.random.Generator(np.random.Philox(4))
+    X = rng.standard_normal((40, 4))
+    data = LinearDataset(y=1.0 + 2.0 * X[:, 0], X=X)
+    for variant in POLICY_VARIANTS:
+        args = (data, ModelPriorPolicy(variant=variant), 1e20, 2.0, 3.0)
+        _, targets = _subset_log_targets(*args)
+        _, oracle = per_model_log_targets(*args)
+        assert np.max(np.abs(targets - oracle)) <= 1e-10
 
 
 @pytest.mark.parametrize("variant,c2,sigma2", [
@@ -389,9 +465,8 @@ def test_rjmcmc_gprior_route_rows_equal_generic_chain(tmp_path, capsys,
     assert rows == expected
     assert prov["jump_rate"] == "%.17g" % generic.jump_rate()
 
-    fast = _run_linear_collapsed(*_gprior_log_targets(
-        data, PriorConfig(c2=float(c2), alpha=alpha, lam=lam), policy),
-        config)
+    fast = _run_linear_collapsed(*_subset_log_targets(
+        data, policy, float(c2), alpha, lam), config)
     assert np.array_equal(fast.model_index, generic.model_index)
     assert np.max(np.abs(fast.log_target - generic.log_target)) <= 1e-10
 
@@ -428,20 +503,24 @@ def test_rjmcmc_gprior_route_rejects_what_per_model_route_rejects(
     write_linear_csv(data, data_path)
     cfg = rjmcmc_config(tmp_path, data_path, c2=c2)
     assert main(["rjmcmc", "--config", cfg]) == expected
-    fast = _gprior_log_targets(load_linear_csv(data_path),
-                               PriorConfig(c2=float(c2)),
-                               ModelPriorPolicy(variant="adjusted_info"))
-    assert (fast is not None) == (case == "well_posed")
+    args = (load_linear_csv(data_path),
+            ModelPriorPolicy(variant="adjusted_info"), float(c2))
+    error, _ = outcome(_subset_log_targets, *args)
+    assert (error is None) == (expected == 0)
+    assert error == outcome(per_model_log_targets, *args)[0]
 
 
-@pytest.mark.parametrize("template,variant,per_model", [
+@pytest.mark.parametrize("template,variant,check_rows", [
     ("gprior", "adjusted_info", False),
     ("gprior", "uniform", False),
     ("identity", "adjusted_info", True),
     ("gprior", "adjusted_exact", True),
 ])
 def test_rjmcmc_gprior_route_builds_no_per_model_prior(
-        tmp_path, capsys, monkeypatch, template, variant, per_model):
+        tmp_path, capsys, monkeypatch, template, variant, check_rows):
+    # Every template and variant takes the all-subsets route. Rows of the
+    # g-prior sweep variants are held to the per-model chain in
+    # test_rjmcmc_gprior_route_rows_equal_generic_chain, the others here.
     calls = {"prior": 0, "moments": 0}
 
     def counted(name, real):
@@ -460,8 +539,19 @@ def test_rjmcmc_gprior_route_builds_no_per_model_prior(
     cfg = rjmcmc_config(tmp_path, data_path, variant=variant,
                         template=template)
     assert main(["rjmcmc", "--config", cfg]) == 0
-    expected = 2 ** 3 if per_model else 0
-    assert calls == {"prior": expected, "moments": expected}
+    assert calls == {"prior": 0, "moments": 0}
+    if check_rows:
+        _, _, rows = read_csv_output(capsys.readouterr().out)
+        data = load_linear_csv(data_path)
+        models, targets = per_model_log_targets(
+            data, ModelPriorPolicy(variant=variant), 9.0, base=template)
+        est = estimate_model_probs(_run_linear_collapsed(
+            models, targets, SamplerConfig(iterations=3000, burn_in=300,
+                                           seed=7)))
+        assert rows == [[est.models[i].label(), str(est.models[i].d),
+                         "%.17g" % est.probs[i], "%.17g" % est.se[i]]
+                        for i in np.argsort(-est.probs, kind="stable")
+                        if est.probs[i] > 0.0]
 
 
 def test_prior_probs_small_space(tmp_path, capsys):
@@ -709,18 +799,31 @@ SHRINKAGE_GRID = "inv_c2_grid = 1e-4,1e-2,3\n"
      "beta_hat must be finite"),
     ("shrinkage", "[shrinkage]\nk_policy = proportional_inverse_c\n"
      "k0 = 1e400\n" + SHRINKAGE_GRID, "k0 must be positive and finite"),
+    ("rjmcmc", "[rjmcmc]\nwithin_scale = inf\n",
+     "within_model_scale must be positive and finite"),
+    ("rjmcmc", "[rjmcmc]\nwithin_scale = nan\n",
+     "within_model_scale must be positive and finite"),
+    ("sweep", "[prior]\nc2_grid = 1,1e400,3\n", "c2_grid = '1,1e400,3'"),
+    ("sweep", "[prior]\nc2_grid = inf,inf,3\n", "c2_grid = 'inf,inf,3'"),
+    ("shrinkage", "[shrinkage]\ninv_c2_grid = 1e-4,1e400,3\n",
+     "inv_c2_grid = '1e-4,1e400,3'"),
 ], ids=["cv-covariate-float", "cv-covariate-text", "calibrated-n0-nan",
         "calibrated-psi0-inf", "shrinkage-n-inf", "shrinkage-sigma2-inf",
-        "shrinkage-beta-hat-nan", "shrinkage-k0-inf"])
+        "shrinkage-beta-hat-nan", "shrinkage-k0-inf", "rjmcmc-within-inf",
+        "rjmcmc-within-nan", "sweep-c2-grid-high-inf",
+        "sweep-c2-grid-both-inf", "shrinkage-inv-c2-grid-high-inf"])
 def test_malformed_or_non_finite_key_exits_2(tmp_path, capsys, task,
                                              section, message):
     data_path = str(tmp_path / "d.csv")
     write_linear_csv(small_dataset(n=20, p=2), data_path)
+    prior = "" if section.startswith("[prior]") else \
+        "[prior]\nc2_grid = 1e0,1e2,3\n\n"
     cfg = write_config(tmp_path, (
-        f"[experiment]\ntask = {task}\n\n"
-        f"[data]\nsource = csv\npath = {data_path}\n\n"
-        f"[prior]\nc2_grid = 1e0,1e2,3\n\n{section}"))
-    assert main([task, "--config", cfg]) == 2
+        f"[experiment]\ntask = {task}\nseed = 1\n\n"
+        f"[data]\nsource = csv\npath = {data_path}\n\n{prior}{section}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([task, "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
