@@ -17,7 +17,7 @@ identically. 'at_mle' expands around the unpenalized maximum and prices
 the prior at that point, the classical O(n^{-1}) flavor. Both are tagged
 on the result so downstream normalization knows what it is averaging.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import math
 
 import numpy as np
@@ -26,7 +26,7 @@ from ._linalg import chol_factor, chol_solve, factor_logdet, quad_form
 from .averaging import LogMarginal
 from .exceptions import (ContractError, ConvergenceError, DegenerateDataError,
                          SpecificationError)
-from .param_priors import InformationSource, TermBlock, blockwise_prior
+from .param_priors import InformationSource, TermBlock, _stack_blocks
 
 __all__ = [
     "ContingencyTable",
@@ -57,6 +57,8 @@ class ContingencyTable:
     counts: np.ndarray
     _designs: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+    _block_bases: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=float).reshape(-1)
@@ -174,7 +176,10 @@ class PoissonLogLinear:
 
     def loglik(self, beta):
         eta = self.X @ beta
-        return float(self.y @ eta - np.exp(eta).sum()) - self._log_y_fact
+        # np.add.reduce is ndarray.sum's reduction without its Python
+        # wrapper, so the value is the same to the bit.
+        return float(self.y @ eta - np.add.reduce(np.exp(eta))) \
+            - self._log_y_fact
 
     def grad(self, beta):
         lam = np.exp(self.X @ beta)
@@ -400,27 +405,37 @@ def term_block_prior(table_or_spec, m, scales, metric="information",
     to all terms; a dict may carry a 'default'). metric 'information'
     uses k^2 (X_j'X_j)^{-1} per block, 'identity' uses k^2 I. means
     optionally sets per-term prior means. Accepts a table or a bare
-    FactorSpec; only the grid is needed.
+    FactorSpec; only the grid is needed. A term's columns are the same
+    in every model's design, so a table forms each distinct
+    (term, k^2, metric) block once and shares it, read-only, across the
+    priors of all its models.
     """
     design = _design_of(table_or_spec, m)
+    bases = table_or_spec._block_bases \
+        if isinstance(table_or_spec, ContingencyTable) else {}
     blocks = []
     for term, start, stop in design.ranges:
-        size = stop - start
         k2 = float(_per_term(scales, term, "scale"))
         kind = _per_term(metric, term, "metric")
-        if kind == "information":
-            gram = design.X[:, start:stop].T @ design.X[:, start:stop]
-        elif kind == "identity":
-            gram = None
-        else:
+        if kind not in ("information", "identity"):
             raise SpecificationError(
                 f"unknown metric {kind!r}; expected 'information' or "
                 "'identity'")
         mean = None
         if means is not None and term in means:
             mean = np.asarray(means[term], dtype=float)
-        blocks.append(TermBlock(size=size, scale2=k2, gram=gram, mean=mean))
-    return blockwise_prior(blocks, c2=c2, alpha=alpha, lam=lam)
+        block = TermBlock(size=stop - start, scale2=k2, mean=mean)
+        key = (term, k2, kind)
+        base = bases.get(key)
+        if base is None:
+            if kind == "information":
+                cols = design.X[:, start:stop]
+                block = replace(block, gram=cols.T @ cols)
+            base = block.base()
+            base.flags.writeable = False
+            bases[key] = base
+        blocks.append((base, block.mean_vector()))
+    return _stack_blocks(blocks, c2=c2, alpha=alpha, lam=lam)
 
 
 def unit_info_for_model(table_or_spec, m, beta_ref=None, sample_size=None):

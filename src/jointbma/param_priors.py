@@ -211,15 +211,21 @@ def blockwise_prior(blocks, c2=1.0, alpha=0.0, lam=0.0):
     """Assemble a block-diagonal ParamPrior from per-term blocks. Terms
     are independent a priori; each block chooses its own scale and
     metric, so unequal-variance conventions stay expressible."""
-    blocks = list(blocks)
-    d = sum(b.size for b in blocks)
+    return _stack_blocks([(b.base(), b.mean_vector()) for b in blocks],
+                         c2=c2, alpha=alpha, lam=lam)
+
+
+def _stack_blocks(blocks, c2, alpha, lam):
+    """blockwise_prior from each block's (base matrix, mean vector)."""
+    d = sum(base.shape[0] for base, _ in blocks)
     sigma = np.zeros((d, d))
     mu = np.zeros(d)
     at = 0
-    for b in blocks:
-        sigma[at:at + b.size, at:at + b.size] = b.base()
-        mu[at:at + b.size] = b.mean_vector()
-        at += b.size
+    for base, mean in blocks:
+        size = base.shape[0]
+        sigma[at:at + size, at:at + size] = base
+        mu[at:at + size] = mean
+        at += size
     return ParamPrior(mu=mu, sigma_base=sigma, c2=c2, alpha=alpha, lam=lam)
 
 

@@ -8,6 +8,15 @@ identity; the acceptance ratio carries the proposal densities in both
 directions and the neighbor-count ratio. Within-model moves are a
 Gaussian random walk scaled by the Laplace standard deviations.
 
+The joint chain forms everything per model once per run: the prior's
+inverse factor L_V^{-1}, the Laplace mode, the proposal's factor L and
+L^{-T}, and the random-walk scales. An iteration then does matmuls
+only. A jump's proposal is mode + L^{-T} z with z standard normal, so
+its log density is -(c + z'z)/2 from the draw itself; the current
+state's density is kept until a within-model move changes it. Each
+iteration evaluates one log target, the proposal's: the prior quadratic
+form plus the log-likelihood.
+
 Normal linear spaces never need the joint chain: (beta, sigma^2)
 integrate out exactly, so the sampler collapses to a Metropolized walk
 on the model graph with exact marginal likelihoods, and coefficient
@@ -334,43 +343,51 @@ def _run_joint(models, priors, lw, likelihoods, config, rng, neighbors,
         step_sds.append(config.within_model_scale * np.sqrt(np.diag(cov)))
     log_degree = [math.log(len(nbr)) if nbr else 0.0 for nbr in neighbors]
 
-    def q_logpdf(i, beta):
-        u = chols[i].T @ (beta - modes[i])
-        return -0.5 * (q_consts[i] + float(u @ u))
-
     idx = config.start_index
     beta = modes[idx].copy()
     value = targets[idx](beta)
+    # q(beta) of the current state under its own Laplace proposal, or
+    # None after a within-model move until the next jump forms it. A
+    # proposal's q comes from its draw z: L'(mode + L^{-T} z - mode) is z
+    # up to rounding.
+    q_value = None
 
     trace = np.zeros(config.iterations, dtype=np.int64)
     values = np.zeros(config.iterations)
     coef = [] if config.store_coefficients else None
     attempt_jump = accept_jump = attempt_within = accept_within = 0
-    for it in range(config.iterations):
-        nbr = neighbors[idx]
-        if rng.random() < config.jump_prob and nbr:
-            attempt_jump += 1
-            prop_idx = nbr[int(rng.integers(len(nbr)))]
-            z = rng.standard_normal(modes[prop_idx].shape[0])
-            prop_beta = modes[prop_idx] + inv_chol_ts[prop_idx] @ z
-            prop_value = targets[prop_idx](prop_beta)
-            log_alpha = (prop_value - value
-                         + q_logpdf(idx, beta)
-                         - q_logpdf(prop_idx, prop_beta)
-                         + log_degree[idx] - log_degree[prop_idx])
-            if math.log(rng.random()) < log_alpha:
-                idx, beta, value = prop_idx, prop_beta, prop_value
-                accept_jump += 1
-        else:
-            attempt_within += 1
-            beta, value, ok = rwm_step(targets[idx], beta, value,
-                                       step_sds[idx], rng)
-            if ok:
-                accept_within += 1
-        trace[it] = idx
-        values[it] = value
-        if coef is not None:
-            coef.append(beta.copy())
+    # A proposal that overflows (a huge within_model_scale) has a log
+    # target of -inf or nan and is rejected without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(config.iterations):
+            nbr = neighbors[idx]
+            if rng.random() < config.jump_prob and nbr:
+                attempt_jump += 1
+                prop_idx = nbr[int(rng.integers(len(nbr)))]
+                z = rng.standard_normal(modes[prop_idx].shape[0])
+                prop_beta = modes[prop_idx] + inv_chol_ts[prop_idx] @ z
+                prop_value = targets[prop_idx](prop_beta)
+                prop_q = -0.5 * (q_consts[prop_idx] + float(z @ z))
+                if q_value is None:
+                    u = chols[idx].T @ (beta - modes[idx])
+                    q_value = -0.5 * (q_consts[idx] + float(u @ u))
+                log_alpha = (prop_value - value + q_value - prop_q
+                             + log_degree[idx] - log_degree[prop_idx])
+                if math.log(rng.random()) < log_alpha:
+                    idx, beta, value = prop_idx, prop_beta, prop_value
+                    q_value = prop_q
+                    accept_jump += 1
+            else:
+                attempt_within += 1
+                beta, value, ok = rwm_step(targets[idx], beta, value,
+                                           step_sds[idx], rng)
+                if ok:
+                    accept_within += 1
+                    q_value = None
+            trace[it] = idx
+            values[it] = value
+            if coef is not None:
+                coef.append(beta.copy())
     return RjChain(models=models, model_index=trace, log_target=values,
                    config=config, kind=kind,
                    attempt_jump=attempt_jump, accept_jump=accept_jump,

@@ -831,6 +831,30 @@ def test_malformed_or_non_finite_key_exits_2(tmp_path, capsys, task,
     assert message in lines[0]
 
 
+def test_rjmcmc_overflowing_within_proposals_are_rejected(tmp_path, capsys):
+    # A huge but finite within_scale sends every random-walk proposal to
+    # a log target of -inf or nan: the chain rejects each one, silently.
+    table_path = tmp_path / "table.csv"
+    table_path.write_text("R,C,count\nr1,c1,12\nr1,c2,7\nr2,c1,9\n"
+                          "r2,c2,15\n", encoding="utf-8")
+    cfg = write_config(tmp_path, (
+        "[experiment]\ntask = rjmcmc\nseed = 5\n\n"
+        f"[data]\nsource = csv\npath = {table_path}\n"
+        "levels.R = r1, r2\nlevels.C = c1, c2\n\n"
+        "[space]\nfactors = R:2, C:2\nforced = 1, R, C\ncandidates = R*C\n\n"
+        "[prior]\ntemplate = term_blocks\nscale = 2\n\n"
+        "[rjmcmc]\niterations = 400\nwithin_scale = 1e300\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["rjmcmc", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    prov, header, rows = read_csv_output(captured.out)
+    assert float(prov["within_rate"]) == 0.0
+    assert float(prov["jump_rate"]) > 0.0
+    assert header == ["model", "dimension", "prob", "se"] and rows
+
+
 @pytest.mark.parametrize("task", ["sweep", "cv"])
 def test_sweep_error_names_grid_point(tmp_path, capsys, task):
     # lambda is only validated where it is used, so a bad sigma^2 prior

@@ -12,24 +12,29 @@ import csv
 import math
 import sys
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 import jointbma
-from jointbma import glm_laplace
+from jointbma import glm_laplace, param_priors
+from jointbma._linalg import chol_factor, chol_solve, factor_logdet, \
+    inv_factor
 from jointbma.averaging import normalize_posterior
 from jointbma.exceptions import ContractError
 from jointbma.glm_laplace import ContingencyTable, GaussianKnownVar, \
-    PoissonLogLinear, build_design, fit_mle_poisson, term_block_prior
+    PoissonLogLinear, _map_laplace, build_design, fit_mle_poisson, \
+    term_block_prior
 from jointbma.linear_exact import LinearDataset, gprior_sweep, \
     log_marginal_nig
 from jointbma.model_space import Baseline, FactorSpec, LinearSubsets, \
     ModelId, ModelPriorPolicy, enumerate_hierarchical_models, \
     enumerate_linear_models, log_prior_model_weight
-from jointbma.param_priors import ParamPrior, log_prior_density, \
-    prior_for_linear_model
-from jointbma.rj_sampler import RjChain, SamplerConfig, _policy_weights, \
-    batch_means_se, chain_to_csv, estimate_model_probs, rjmcmc_run, rwm_step
+from jointbma.param_priors import ParamPrior, _factor_prior, \
+    log_prior_density, prior_for_linear_model
+from jointbma.rj_sampler import RjChain, SamplerConfig, _log_target, \
+    _neighbor_lists, _policy_weights, batch_means_se, chain_to_csv, \
+    estimate_model_probs, rjmcmc_run, rwm_step
 
 
 def test_rwm_acceptance_rate_matches_closed_form():
@@ -351,15 +356,23 @@ def test_table_route_builds_each_design_once(monkeypatch):
     assert not table.design(models[0]).X.flags.writeable
 
 
-def test_table_chain_through_empty_model_matches_public_density():
-    # With the intercept selectable the space holds a model with no
-    # parameters; the chain enters and leaves it through 0x0 factors.
+def empty_model_table():
+    """A 2x3 table whose space, with the intercept selectable, holds a
+    model with no parameters, and its term-block priors."""
     spec = FactorSpec(factors=(("A", 2), ("B", 3)),
                       candidate_terms=((), ("A",), ("B",)))
     models = enumerate_hierarchical_models(spec)
     table = ContingencyTable(spec=spec,
                              counts=np.array([1.0, 2.0, 1.0, 0.0, 1.0, 1.0]))
     priors = {m: term_block_prior(spec, m, scales=2.0) for m in models}
+    return table, models, priors
+
+
+def test_table_chain_through_empty_model_matches_public_density():
+    # With the intercept selectable the space holds a model with no
+    # parameters; the chain enters and leaves it through 0x0 factors.
+    table, models, priors = empty_model_table()
+    spec = table.spec
     policy = ModelPriorPolicy(variant="adjusted_info")
     lw = _policy_weights(models, priors, policy, table)
     # A bare FactorSpec yields the same information, so the same weights.
@@ -400,6 +413,172 @@ def test_table_chain_factors_each_prior_once(monkeypatch):
                    SamplerConfig(iterations=iterations, seed=5))
         counts.append(len(factored))
     assert counts[0] == counts[1] == len(models)
+
+
+def q_logpdf(L, mode, q_const, beta):
+    """Log density of the Laplace proposal N(mode, (L L')^{-1}) at beta,
+    with q_const = d log 2pi - log|L L'|."""
+    u = L.T @ (beta - mode)
+    return -0.5 * (q_const + float(u @ u))
+
+
+def oracle_joint_chain(models, priors, policy, data, config):
+    """The joint chain as a plain loop: both proposal densities from
+    q_logpdf at every jump, nothing kept across iterations, and a table's
+    likelihoods and weights from fresh designs on its bare FactorSpec.
+    Returns (model_index, log_target, counts, coefficients)."""
+    models = tuple(models)
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    neighbors = _neighbor_lists(models)
+    if isinstance(data, ContingencyTable):
+        likelihoods = {m: PoissonLogLinear(build_design(data.spec, m).X,
+                                           data.counts) for m in models}
+        lw = _policy_weights(models, priors, policy, data.spec)
+    else:
+        likelihoods = data
+        lw = _policy_weights(models, priors, policy, data)
+    modes, chols, q_consts, step_sds, targets = [], [], [], [], []
+    for i, m in enumerate(models):
+        prior = priors[m]
+        L_V, W_V, const = _factor_prior(prior)
+        targets.append(_log_target(lw[i], prior.mu, W_V, const,
+                                   likelihoods[m].loglik))
+        fit, L = _map_laplace(likelihoods[m], prior, L_V)
+        modes.append(fit.beta)
+        chols.append(L)
+        q_consts.append(prior.d * math.log(2.0 * math.pi) - factor_logdet(L))
+        cov = chol_solve(L, np.eye(prior.d))
+        step_sds.append(config.within_model_scale * np.sqrt(np.diag(cov)))
+    log_degree = [math.log(len(nbr)) if nbr else 0.0 for nbr in neighbors]
+
+    def q(i, beta):
+        return q_logpdf(chols[i], modes[i], q_consts[i], beta)
+
+    idx = config.start_index
+    beta = modes[idx].copy()
+    value = targets[idx](beta)
+    trace, values, coef = [], [], []
+    counts = [0, 0, 0, 0]
+    for _ in range(config.iterations):
+        nbr = neighbors[idx]
+        if rng.random() < config.jump_prob and nbr:
+            counts[0] += 1
+            prop_idx = nbr[int(rng.integers(len(nbr)))]
+            z = rng.standard_normal(modes[prop_idx].shape[0])
+            prop_beta = modes[prop_idx] + inv_factor(chols[prop_idx]).T @ z
+            prop_value = targets[prop_idx](prop_beta)
+            log_alpha = (prop_value - value
+                         + q(idx, beta)
+                         - q(prop_idx, prop_beta)
+                         + log_degree[idx] - log_degree[prop_idx])
+            if math.log(rng.random()) < log_alpha:
+                idx, beta, value = prop_idx, prop_beta, prop_value
+                counts[1] += 1
+        else:
+            counts[2] += 1
+            beta, value, ok = rwm_step(targets[idx], beta, value,
+                                       step_sds[idx], rng)
+            counts[3] += ok
+        trace.append(idx)
+        values.append(value)
+        coef.append(beta.copy())
+    return np.array(trace), np.array(values), counts, coef
+
+
+def joint_chain_case(name):
+    """(models, priors for the route, priors for the oracle, policy, data)
+    of one joint-chain case; table priors for the route come from the
+    table, so they share its block bases."""
+    if name == "likelihood-dict":
+        likelihoods, priors, _, models = gaussian_pair_space()
+        return (list(models), priors, priors,
+                ModelPriorPolicy(variant="uniform"), dict(likelihoods))
+    if name == "empty-model":
+        table, models, priors = empty_model_table()
+        variant = "adjusted_info"
+    else:
+        table, models, priors = three_way_table()
+        variant = name
+    shared = {m: term_block_prior(table, m, scales=2.0) for m in models}
+    return (list(models), shared, priors, ModelPriorPolicy(variant=variant),
+            table)
+
+
+@pytest.mark.parametrize("jump_prob", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("case", ["uniform", "adjusted_c", "empty-model",
+                                  "likelihood-dict"])
+def test_joint_chain_equals_loop_oracle(case, jump_prob):
+    # The chain keeps the current state's proposal density between jumps
+    # and takes a proposal's from its draw; the oracle forms both with
+    # q_logpdf at every jump. Their q values differ in the last bits only,
+    # so every accept decision, target and coefficient must agree.
+    models, priors, oracle_priors, policy, data = joint_chain_case(case)
+    config = SamplerConfig(iterations=1500, seed=29, jump_prob=jump_prob,
+                           store_coefficients=True)
+    chain = rjmcmc_run(models, priors, policy, data, config)
+    index, target, counts, coef = oracle_joint_chain(
+        models, oracle_priors, policy, data, config)
+    assert np.array_equal(chain.model_index, index)
+    assert np.array_equal(chain.log_target, target)
+    assert [chain.attempt_jump, chain.accept_jump, chain.attempt_within,
+            chain.accept_within] == counts
+    assert all(np.array_equal(a, b) for a, b in zip(chain.coefficients, coef))
+    if jump_prob > 0.0:
+        assert chain.accept_jump > 0
+    if jump_prob < 1.0:
+        assert chain.accept_within > 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_proposal_density_from_draw_matches_q_logpdf(d, seed):
+    # A proposal mode + L^{-T} z has L'(proposal - mode) = z up to
+    # rounding, so its log density is -(c + z'z)/2. The error is measured
+    # against |c| + z'z, the size of the terms the sum is made of.
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    precision = (basis * 10.0 ** rng.uniform(0.0, 4.0, d)) @ basis.T
+    L = chol_factor(precision)
+    q_const = d * math.log(2.0 * math.pi) - factor_logdet(L)
+    mode = rng.uniform(-10.0, 10.0, d)
+    z = rng.standard_normal(d)
+    from_draw = -0.5 * (q_const + float(z @ z))
+    oracle = q_logpdf(L, mode, q_const, mode + inv_factor(L).T @ z)
+    assert abs(from_draw - oracle) <= 1e-12 * (abs(q_const) + float(z @ z))
+
+
+def test_table_priors_factor_each_term_block_once(monkeypatch):
+    # A term's columns are the same in every model's design, so a table
+    # factors one block gram matrix per distinct term over the whole
+    # space, and every prior equals the one built on the bare FactorSpec.
+    table, models, spec_priors = three_way_table()
+    real = param_priors.chol_factor
+    factored = []
+
+    def counting(a, what="matrix"):
+        if what == "block gram matrix":
+            factored.append(a.shape[0])
+        return real(a, what)
+
+    monkeypatch.setattr(param_priors, "chol_factor", counting)
+    shared = {m: term_block_prior(table, m, scales=2.0) for m in models}
+    # (), A, B, C, A*B, A*C and B*C.
+    assert len({t for m in models for t in m.members}) == len(factored) == 7
+    for m in models:
+        assert np.array_equal(shared[m].mu, spec_priors[m].mu)
+        assert np.array_equal(shared[m].sigma_base, spec_priors[m].sigma_base)
+    # Means and c^2 apply per call; a new k^2 for one term is one new
+    # block, while the priors on the spec factor every block every time.
+    factored.clear()
+    scales = {"default": 2.0, ("A", "B"): 0.5}
+    kwargs = {"means": {("A",): [0.25]}, "c2": 3.0}
+    for m in models:
+        prior = term_block_prior(table, m, scales, **kwargs)
+        fresh = term_block_prior(table.spec, m, scales, **kwargs)
+        assert np.array_equal(prior.mu, fresh.mu)
+        assert np.array_equal(prior.sigma_base, fresh.sigma_base)
+        assert prior.c2 == fresh.c2 == 3.0
+    assert len(factored) == 1 + sum(len(m.members) for m in models)
 
 
 def test_chain_to_csv_round_trip():
