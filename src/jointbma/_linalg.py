@@ -60,9 +60,9 @@ def check_factor(L, what="matrix"):
     factor, or on each factor in a stack."""
     diag = L.diagonal(axis1=-2, axis2=-1)
     # cond2(A) = cond2(L)^2 and the diagonal ratio is a cheap lower bound
-    # on cond2(L); good enough to fence off the pathological cases.
+    # on cond2(L); good enough to fence off the pathological cases and nan.
     ratio = (diag.max(axis=-1) / diag.min(axis=-1)).max()
-    if ratio * ratio > COND_CAP:
+    if not ratio * ratio <= COND_CAP:
         raise NumericalDomainError(
             f"{what} is numerically singular (condition estimate "
             f"{ratio * ratio:.3e} exceeds {COND_CAP:.0e})"

@@ -187,6 +187,17 @@ def _top_positions(probs, k):
     return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
 
 
+def _gprior_sweeps(cfg, data, grid):
+    """data's all-subsets statistics, and each policy's sweep, lazily."""
+    if cfg.prior.template != "gprior":
+        raise SpecificationError(
+            f"{cfg.task} uses the closed-form g-prior route; set [prior] "
+            "template=gprior")
+    stats = all_subsets_stats(data)
+    return stats, (gprior_sweep(stats, grid, policy, cfg.prior.alpha,
+                                cfg.prior.lam) for policy in cfg.policies)
+
+
 def run_sweep(cfg):
     """Whole-space g-prior posterior across the c^2 grid and policies.
 
@@ -195,17 +206,13 @@ def run_sweep(cfg):
     grid-minor order.
     """
     data = _load_linear(cfg)
-    if cfg.prior.template != "gprior":
-        raise SpecificationError(
-            "sweep uses the closed-form g-prior route; set [prior] "
-            "template=gprior")
     if cfg.prior.c2_grid is None:
         raise ParseError("[prior] c2_grid is required for sweep")
     if data.p > MAX_CLI_ENUM:
         raise CapacityError(
             f"sweep enumerates 2^p subsets; p={data.p} exceeds the "
             f"command-line cap of {MAX_CLI_ENUM}")
-    stats = all_subsets_stats(data)
+    stats, sweeps = _gprior_sweeps(cfg, data, cfg.prior.c2_grid)
     labels = _covariate_labels(data)
     watch = [(w, stats.models.position(w)) for w in cfg.sweep.watch]
     for w, pos in watch:
@@ -216,9 +223,7 @@ def run_sweep(cfg):
 
     rows = []
     top_k = min(cfg.sweep.top_k, len(stats.models))
-    for policy in cfg.policies:
-        sweep = gprior_sweep(stats, cfg.prior.c2_grid, policy,
-                             cfg.prior.alpha, cfg.prior.lam)
+    for policy, sweep in zip(cfg.policies, sweeps):
         for gi, c2 in enumerate(sweep.c2_grid):
             probs = np.exp(sweep.log_posterior[gi])
             for pos in _top_positions(probs, top_k):
@@ -258,20 +263,15 @@ def _cmd_cv(cfg):
         raise CapacityError(
             f"cv scores 2^p models over n leave-one-out folds; p={data.p} "
             "exceeds the cap of 12 (select columns via [cv] covariates)")
-    if cfg.prior.template != "gprior":
-        raise SpecificationError(
-            "cv uses the closed-form g-prior route; set [prior] "
-            "template=gprior")
     grid = cfg.prior.c2_grid
     if grid is None:
         grid = np.array([cfg.prior.c2])
-    stats = all_subsets_stats(data)
+    stats, sweeps = _gprior_sweeps(cfg, data, grid)
+    sweeps = list(sweeps)
     rng = None
     if cfg.cv.mode == "gelfand":
         rng = np.random.Generator(np.random.Philox(cfg.seed))
 
-    sweeps = [gprior_sweep(stats, grid, policy, cfg.prior.alpha,
-                           cfg.prior.lam) for policy in cfg.policies]
     models = list(stats.models)
     sweep = sweeps[0]
     # The leave-one-out predictives depend on c2 but not on the model
@@ -303,6 +303,21 @@ def _cmd_cv(cfg):
             n=data.n, p=data.p))
 
 
+def _term_block_priors(cfg, load):
+    """(load(cfg), [space]'s models, their term-block priors on it);
+    load runs after the template check."""
+    if cfg.prior.template != "term_blocks":
+        raise ParseError(
+            f"{cfg.task} uses per-term priors; set [prior] "
+            "template=term_blocks")
+    source = load(cfg)
+    models = enumerate_hierarchical_models(cfg.space)
+    return source, models, {
+        m: term_block_prior(source, m, cfg.prior.scales,
+                            metric=cfg.prior.metric, means=cfg.prior.means,
+                            c2=cfg.prior.c2) for m in models}
+
+
 def _cmd_rjmcmc(cfg):
     policy = cfg.policies[0]
     sampler = SamplerConfig(iterations=cfg.rjmcmc.iterations,
@@ -312,17 +327,7 @@ def _cmd_rjmcmc(cfg):
                             jump_prob=cfg.rjmcmc.jump_prob,
                             within_model_scale=cfg.rjmcmc.within_scale)
     if cfg.space is not None:
-        if cfg.prior.template != "term_blocks":
-            raise ParseError(
-                "contingency-table sampling uses per-term priors; set "
-                "[prior] template=term_blocks")
-        table = _load_table(cfg)
-        models = enumerate_hierarchical_models(cfg.space)
-        priors = {m: term_block_prior(table, m, cfg.prior.scales,
-                                      metric=cfg.prior.metric,
-                                      means=cfg.prior.means,
-                                      c2=cfg.prior.c2)
-                  for m in models}
+        table, models, priors = _term_block_priors(cfg, _load_table)
         chain = rjmcmc_run(models, priors, policy, table, sampler)
         # Nothing past the chain reads the table or the designs it caches.
         del table, priors
@@ -380,15 +385,7 @@ def _cmd_shrinkage(cfg):
 def _cmd_prior_probs(cfg):
     if cfg.space is None:
         raise ParseError("prior-probs needs a [space] section")
-    if cfg.prior.template != "term_blocks":
-        raise ParseError(
-            "prior-probs uses per-term priors; set [prior] "
-            "template=term_blocks")
-    models = enumerate_hierarchical_models(cfg.space)
-    priors = {m: term_block_prior(cfg.space, m, cfg.prior.scales,
-                                  metric=cfg.prior.metric,
-                                  means=cfg.prior.means, c2=cfg.prior.c2)
-              for m in models}
+    _, models, priors = _term_block_priors(cfg, lambda cfg: cfg.space)
     rows = []
     for policy in cfg.policies:
         log_w = _policy_weights(models, priors, policy, cfg.space)

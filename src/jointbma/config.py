@@ -54,7 +54,11 @@ def _get(section, key, cast, default=None, required=False):
     except (ValueError, TypeError):
         raise ParseError(
             f"config key [{section.name}] {key} = {raw!r} is not a valid "
-            f"{cast.__name__}")
+            f"{cast.__name__.lstrip('_')}")
+
+
+def _vector(raw):
+    return np.array([float(v) for v in raw.split()])
 
 
 def _csv_list(raw):
@@ -229,8 +233,8 @@ def _parse_prior(parser):
         if key.startswith("scale."):
             scales[parse_term(key[len("scale."):])] = _get(section, key, float)
         elif key.startswith("mean."):
-            means[parse_term(key[len("mean."):])] = np.array(
-                [float(v) for v in section[key].split()])
+            means[parse_term(key[len("mean."):])] = _get(section, key,
+                                                          _vector)
         elif key.startswith("metric."):
             metric[parse_term(key[len("metric."):])] = section[key].strip()
     if "scale" in section:

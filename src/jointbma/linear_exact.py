@@ -20,7 +20,10 @@ The g-prior (mu = 0, Sigma_m = n (X_m'X_m)^{-1}) collapses the
 determinant ratio to -(d/2) log(1 + n c^2) and s to a function of the
 fit R^2 alone, which is what makes whole-space sweeps over 2^p models
 cheap: one batched least-squares pass yields every marginal for every
-dispersion scale.
+dispersion scale, and log_marginal_gprior_closed is that pass on one
+model. Every route applies _residual's rules to s; the vector routes
+share _log_marginals, while posterior_moments, the per-model oracle,
+keeps a scalar assembly.
 """
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,7 +38,7 @@ from .averaging import LogMarginal, ModelPosterior
 from .exceptions import ContractError, DegenerateDataError, JointBmaError, \
     SpecificationError
 from .model_space import LinearSubsets, calibrate_p, model_lookup
-from .param_priors import _check_sigma2_prior, linear_design
+from .param_priors import _check_c2, _check_sigma2_prior, linear_design
 
 __all__ = [
     "LinearDataset",
@@ -138,6 +141,35 @@ def _sigma2_head(n, alpha, lam):
     return lgamma(0.5 * n), "improper"
 
 
+def _residual(s, yty, lam):
+    """The residual quantity s (a float or an array), a sum of squares
+    in exact arithmetic: rounding below 0 is clamped to 0, a gross
+    violation is a ContractError, and a perfect fit (lam + s/2 = 0 under
+    the improper reference) leaves the marginal undefined."""
+    # The least s decides both rules; numpy is slow on a single float.
+    array = isinstance(s, np.ndarray)
+    low = s.min() if array else s
+    if low < -1e-8 * (yty + 1.0):
+        raise ContractError(f"negative residual quantity s = {low}")
+    if lam + 0.5 * max(low, 0.0) <= 0.0:
+        raise DegenerateDataError(
+            "perfect fit under the improper reference prior leaves the "
+            "marginal likelihood undefined; add observations or use a "
+            "proper sigma^2 prior")
+    return np.maximum(s, 0.0) if array else max(s, 0.0)
+
+
+def _log_marginals(n, yty, half_logdet, alpha, lam, s):
+    """(values, convention): the vector of conjugate log marginals from
+    each model's half log-determinant term (1/2) log(|V| / |V*|) and its
+    residual quantity s, under _residual's rules."""
+    head, convention = _sigma2_head(n, alpha, lam)
+    alpha, lam = float(alpha), float(lam)
+    s = _residual(s, yty, lam)
+    return (-0.5 * n * log(pi) + head - half_logdet
+            - (alpha + 0.5 * n) * np.log(2.0 * lam + s)), convention
+
+
 def posterior_moments(data, m, prior):
     """Full conjugate update of one model, marginal likelihood included."""
     Xm = linear_design(data.X, m)
@@ -158,22 +190,12 @@ def posterior_moments(data, m, prior):
     Vstar = chol_solve(L_prec, np.eye(d))
     Vstar = 0.5 * (Vstar + Vstar.T)
     ld_vstar = -factor_logdet(L_prec)
-    s = yty + float(prior.mu @ (v_inv @ prior.mu)) - float(beta_tilde @ b)
-
-    # s is a residual sum of squares in exact arithmetic; tolerate
-    # rounding at perfect fit but not gross violations.
-    if s < -1e-8 * (yty + 1.0):
-        raise ContractError(f"negative residual quantity s = {s}")
-    s = max(s, 0.0)
+    s = _residual(yty + float(prior.mu @ (v_inv @ prior.mu))
+                  - float(beta_tilde @ b), yty, prior.lam)
 
     head, convention = _sigma2_head(n, prior.alpha, prior.lam)
     a_post = prior.alpha + 0.5 * n
     lambda_post = prior.lam + 0.5 * s
-    if lambda_post <= 0.0:
-        raise DegenerateDataError(
-            "perfect fit under the improper reference prior leaves the "
-            "marginal likelihood undefined; add observations or use a "
-            "proper sigma^2 prior")
     value = (-0.5 * n * log(pi) + head + 0.5 * (ld_vstar - ld_v)
              - a_post * log(2.0 * lambda_post))
     logml = LogMarginal(value=value, method="exact_nig", convention=convention)
@@ -186,35 +208,14 @@ def log_marginal_nig(data, m, prior):
     return posterior_moments(data, m, prior).logml
 
 
-def _centered_fit(data, members):
-    """R^2 of the centered regression on the given covariate columns."""
-    yc = data.y - data.y.mean()
-    tss = float(yc @ yc)
-    if tss <= 0.0:
-        raise DegenerateDataError("response is constant; R^2 is undefined")
-    if not members:
-        return 0.0, tss
-    Xs = data.X[:, list(members)]
-    Xc = Xs - Xs.mean(axis=0)
-    gram = Xc.T @ Xc
-    rhs = Xc.T @ yc
-    try:
-        coef = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        raise ContractError(
-            f"covariate columns {members} are collinear after centering")
-    ess = float(coef @ rhs)
-    r2 = min(max(ess / tss, 0.0), 1.0)
-    return r2, tss
-
-
 def log_marginal_gprior_closed(data, m, c2, alpha=0.0, lam=0.0):
     """Closed-form g-prior marginal:
     -(d/2) log(1 + n c^2) - (alpha + n/2) log(2 lambda + s(R^2)) plus the
     sigma^2 head, with s = y'y/(1 + n c^2) + w * TSS * (1 - R^2) and
     w = n c^2 / (1 + n c^2). Exactly equals the generic route with
-    mu = 0 and Sigma = n (X_m'X_m)^{-1} over all model columns. The fit
-    is centered, so the model must contain the intercept."""
+    mu = 0 and Sigma = n (X_m'X_m)^{-1} over all model columns, and is
+    bit for bit m's entry of gprior_log_marginals(all_subsets_stats(data)).
+    The fit is centered, so the model must contain the intercept."""
     if not m.intercept:
         raise ContractError(
             "the closed-form g-prior marginal requires the intercept in the "
@@ -223,23 +224,15 @@ def log_marginal_gprior_closed(data, m, c2, alpha=0.0, lam=0.0):
         raise ContractError(
             f"model references column {m.members[-1]} but X has {data.p} "
             "columns")
-    c2 = float(c2)
-    if not (c2 > 0.0) or not math.isfinite(c2):
-        raise ContractError(f"c2 must be positive and finite, got {c2}")
-    n = data.n
-    r2, tss = _centered_fit(data, m.members)
-    head, convention = _sigma2_head(n, alpha, lam)
-    nc2 = n * c2
-    w = nc2 / (1.0 + nc2)
-    s = data.yty / (1.0 + nc2) + w * tss * (1.0 - r2)
-    two_lam_s = 2.0 * float(lam) + s
-    if two_lam_s <= 0.0:
-        raise DegenerateDataError(
-            "perfect fit under the improper reference prior leaves the "
-            "marginal likelihood undefined")
-    value = (-0.5 * n * log(pi) + head - 0.5 * m.d * math.log1p(nc2)
-             - (float(alpha) + 0.5 * n) * log(two_lam_s))
-    return LogMarginal(value=value, method="closed_g", convention=convention)
+    c2 = _check_c2(c2)
+    idx = np.array([m.members], dtype=np.intp)
+    r2, tss = _centered_r2(data, [(idx.shape[1], slice(0, 1), idx)], 1)
+    one = AllSubsets(models=(m,), d=np.array([m.d]), r2=r2,
+                     member=np.isin(np.arange(data.p), idx)[None, :] * 1.0,
+                     n=data.n, yty=data.yty, tss=tss)
+    values, convention = gprior_log_marginals(one, c2, alpha, lam)
+    return LogMarginal(value=float(values[0]), method="closed_g",
+                       convention=convention)
 
 
 def loo_predictive_exact(data, m, prior, j):
@@ -367,11 +360,10 @@ class AllSubsets:
     tss: float
 
 
-def all_subsets_stats(data):
-    """One batched pass computing R^2 for all 2^p intercept-containing
-    subsets. Each subset size's normal equations are solved as one
-    stacked batch."""
-    models = LinearSubsets(data.p, intercept=True)
+def _centered_r2(data, blocks, size):
+    """(R^2 of each subset in blocks, as LinearSubsets.blocks gives them,
+    in an array of the given size; TSS of the centered response). Each
+    block's centered normal equations are solved as one stacked batch."""
     yc = data.y - data.y.mean()
     tss = float(yc @ yc)
     if tss <= 0.0:
@@ -380,8 +372,8 @@ def all_subsets_stats(data):
     G = Xc.T @ Xc
     g = Xc.T @ yc
 
-    r2 = np.zeros(len(models))
-    for k, rows, idx in models.blocks():
+    r2 = np.zeros(size)
+    for k, rows, idx in blocks:
         if k == 0:
             continue
         Gsub = G[idx[:, :, None], idx[:, None, :]]
@@ -395,6 +387,15 @@ def all_subsets_stats(data):
                 "singular")
         ess = np.einsum("ij,ij->i", coef, gsub)
         r2[rows] = np.clip(ess / tss, 0.0, 1.0)
+    return r2, tss
+
+
+def all_subsets_stats(data):
+    """One batched pass computing R^2 for all 2^p intercept-containing
+    subsets. Each subset size's normal equations are solved as one
+    stacked batch."""
+    models = LinearSubsets(data.p, intercept=True)
+    r2, tss = _centered_r2(data, models.blocks(), len(models))
     return AllSubsets(models=models, d=models.d, r2=r2, member=models.member,
                       n=data.n, yty=data.yty, tss=tss)
 
@@ -402,23 +403,12 @@ def all_subsets_stats(data):
 def gprior_log_marginals(stats, c2, alpha=0.0, lam=0.0):
     """Vector of closed-form g-prior log marginals over all subsets at
     one dispersion scale."""
-    c2 = float(c2)
-    if not (c2 > 0.0) or not math.isfinite(c2):
-        raise ContractError(f"c2 must be positive and finite, got {c2}")
-    alpha, lam = float(alpha), float(lam)
-    n = stats.n
-    head, convention = _sigma2_head(n, alpha, lam)
-    nc2 = n * c2
+    c2 = _check_c2(c2)
+    nc2 = stats.n * c2
     w = nc2 / (1.0 + nc2)
     s = stats.yty / (1.0 + nc2) + w * stats.tss * (1.0 - stats.r2)
-    two_lam_s = 2.0 * lam + s
-    if np.any(two_lam_s <= 0.0):
-        raise DegenerateDataError(
-            "perfect fit under the improper reference prior leaves some "
-            "marginals undefined")
-    values = (-0.5 * n * log(pi) + head - 0.5 * stats.d * math.log1p(nc2)
-              - (alpha + 0.5 * n) * np.log(two_lam_s))
-    return values, convention
+    return _log_marginals(stats.n, stats.yty, 0.5 * stats.d * math.log1p(nc2),
+                          alpha, lam, s)
 
 
 @dataclass(frozen=True)
@@ -514,10 +504,8 @@ def _subset_log_targets(data, policy, c2, alpha=0.0, lam=0.0, base="gprior"):
     chol_factor's rule on the matrices the per-model route factors, and s
     meets posterior_moments' rules, so both routes reject the same inputs.
     """
-    c2 = float(c2)
-    if not (c2 > 0.0) or not math.isfinite(c2):
-        raise ContractError(f"c2 must be positive and finite, got {c2}")
-    head, _ = _sigma2_head(data.n, alpha, lam)
+    c2 = _check_c2(c2)
+    _check_sigma2_prior(alpha, lam)
     n, yty, gprior = data.n, data.yty, base == "gprior"
     models = LinearSubsets(data.p, intercept=True)
     log_w = _baseline_log_p(policy.baseline, models)
@@ -556,14 +544,6 @@ def _subset_log_targets(data, policy, c2, alpha=0.0, lam=0.0, base="gprior"):
         ld_f[rows] = factor_logdet(L)
         s[rows] = pivot2 / shrink
 
-    if np.any(s < -1e-8 * (yty + 1.0)):
-        raise ContractError(f"negative residual quantity s = {s.min()}")
-    s = np.maximum(s, 0.0)
-    if np.any(lam + 0.5 * s <= 0.0):
-        raise DegenerateDataError(
-            "perfect fit under the improper reference prior leaves the "
-            "marginal likelihood undefined; add observations or use a "
-            "proper sigma^2 prior")
     d = models.d
     ld_a = ld_f + d * log(shrink)
     ld_g = ld_f if gprior else ld_g
@@ -574,6 +554,5 @@ def _subset_log_targets(data, policy, c2, alpha=0.0, lam=0.0, base="gprior"):
         log_w += 0.5 * (ld_v + ld_g - d * log(n))
     elif policy.variant == "adjusted_exact":
         log_w += 0.5 * (ld_v + ld_a - d * log(n))
-    log_ml = (-0.5 * n * log(pi) + head - 0.5 * (ld_a + ld_v)
-              - (float(alpha) + 0.5 * n) * np.log(2.0 * lam + s))
+    log_ml, _ = _log_marginals(n, yty, 0.5 * (ld_a + ld_v), alpha, lam, s)
     return models, log_w + log_ml

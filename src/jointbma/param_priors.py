@@ -59,6 +59,14 @@ def _check_sigma2_prior(alpha, lam):
     return alpha, lam
 
 
+def _check_c2(c2):
+    """The dispersion scale c^2 as a float, positive and finite."""
+    c2 = float(c2)
+    if not (c2 > 0.0) or not math.isfinite(c2):
+        raise ContractError(f"c2 must be positive and finite, got {c2}")
+    return c2
+
+
 @dataclass(frozen=True)
 class ParamPrior:
     """N(mu, c^2 sigma_base) prior on the d coefficients of one model.
@@ -83,13 +91,13 @@ class ParamPrior:
         if sigma.shape != (d, d):
             raise ContractError(
                 f"sigma_base shape {sigma.shape} does not match mu length {d}")
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+            raise ContractError("mu and sigma_base must be finite")
         if d > 0:
             if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-10):
                 raise ContractError("sigma_base must be symmetric")
             chol_factor(sigma, "sigma_base")
-        c2 = float(self.c2)
-        if not (c2 > 0.0) or not math.isfinite(c2):
-            raise ContractError(f"c2 must be positive and finite, got {c2}")
+        c2 = _check_c2(self.c2)
         alpha, lam = _check_sigma2_prior(self.alpha, self.lam)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma_base", 0.5 * (sigma + sigma.T))
@@ -183,8 +191,9 @@ class TermBlock:
     def __post_init__(self):
         if self.size < 1:
             raise ContractError(f"block size must be >= 1, got {self.size}")
-        if not (float(self.scale2) > 0.0):
-            raise ContractError(f"block scale2 must be positive, got {self.scale2}")
+        if not 0.0 < float(self.scale2) < math.inf:
+            raise ContractError(
+                f"block scale2 must be positive and finite, got {self.scale2}")
 
     def base(self):
         if self.gram is None:

@@ -258,19 +258,19 @@ def rjmcmc_run(space, priors, policy, data, config):
     if isinstance(data, ContingencyTable):
         likelihoods = {m: PoissonLogLinear(data.design(m).X, data.counts)
                        for m in models}
-        lw = _policy_weights(models, priors, policy, data)
-        return _run_joint(models, priors, lw, likelihoods, config, rng,
-                          neighbors, kind="glm")
-    if isinstance(data, dict):
-        lw = _policy_weights(models, priors, policy, data)
-        for m in models:
-            if m not in data:
-                raise ContractError(f"no likelihood supplied for {m.label()}")
-        return _run_joint(models, priors, lw, data, config, rng, neighbors,
-                          kind="custom")
-    raise ContractError(
-        f"unsupported data object {type(data).__name__}; expected "
-        "LinearDataset, ContingencyTable, or a likelihood dict")
+        kind = "glm"
+    elif isinstance(data, dict):
+        likelihoods, kind = data, "custom"
+    else:
+        raise ContractError(
+            f"unsupported data object {type(data).__name__}; expected "
+            "LinearDataset, ContingencyTable, or a likelihood dict")
+    lw = _policy_weights(models, priors, policy, data)
+    for m in models:
+        if m not in likelihoods:
+            raise ContractError(f"no likelihood supplied for {m.label()}")
+    return _run_joint(models, priors, lw, likelihoods, config, rng, neighbors,
+                      kind=kind)
 
 
 def _linear_log_targets(models, priors, policy, data):

@@ -782,6 +782,8 @@ def test_sigma2_prior_checked_only_where_used(tmp_path, capsys, sigma2,
 
 
 SHRINKAGE_GRID = "inv_c2_grid = 1e-4,1e-2,3\n"
+TERM_BLOCKS = "[prior]\ntemplate = term_blocks\n"
+TWO_BY_TWO = "\n[space]\nfactors = A:2, B:2\nforced = 1, A, B\n"
 
 
 @pytest.mark.parametrize("task, section, message", [
@@ -807,11 +809,21 @@ SHRINKAGE_GRID = "inv_c2_grid = 1e-4,1e-2,3\n"
     ("sweep", "[prior]\nc2_grid = inf,inf,3\n", "c2_grid = 'inf,inf,3'"),
     ("shrinkage", "[shrinkage]\ninv_c2_grid = 1e-4,1e400,3\n",
      "inv_c2_grid = '1e-4,1e400,3'"),
+    ("prior-probs", TERM_BLOCKS + "mean.A = nan\n" + TWO_BY_TWO,
+     "mu and sigma_base must be finite"),
+    ("prior-probs", TERM_BLOCKS + "scale = inf\n" + TWO_BY_TWO,
+     "block scale2 must be positive and finite"),
+    ("prior-probs", TERM_BLOCKS + "scale = 1e400\n" + TWO_BY_TWO,
+     "block scale2 must be positive and finite"),
+    ("prior-probs", TERM_BLOCKS + "mean.A = x\n" + TWO_BY_TWO,
+     "[prior] mean.A = 'x' is not a valid vector"),
 ], ids=["cv-covariate-float", "cv-covariate-text", "calibrated-n0-nan",
         "calibrated-psi0-inf", "shrinkage-n-inf", "shrinkage-sigma2-inf",
         "shrinkage-beta-hat-nan", "shrinkage-k0-inf", "rjmcmc-within-inf",
         "rjmcmc-within-nan", "sweep-c2-grid-high-inf",
-        "sweep-c2-grid-both-inf", "shrinkage-inv-c2-grid-high-inf"])
+        "sweep-c2-grid-both-inf", "shrinkage-inv-c2-grid-high-inf",
+        "prior-probs-mean-nan", "prior-probs-scale-inf",
+        "prior-probs-scale-overflow", "prior-probs-mean-text"])
 def test_malformed_or_non_finite_key_exits_2(tmp_path, capsys, task,
                                              section, message):
     data_path = str(tmp_path / "d.csv")
@@ -824,6 +836,33 @@ def test_malformed_or_non_finite_key_exits_2(tmp_path, capsys, task,
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main([task, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("scale = 2\nmean.R = nan", "mu and sigma_base must be finite"),
+    ("scale = 1e400", "block scale2 must be positive and finite"),
+])
+def test_rjmcmc_non_finite_term_prior_exits_2(tmp_path, capsys, setting,
+                                               message):
+    # Caught when the priors are built, before any Newton step.
+    table_path = tmp_path / "table.csv"
+    table_path.write_text("R,C,count\nr1,c1,12\nr1,c2,7\nr2,c1,9\n"
+                          "r2,c2,15\n", encoding="utf-8")
+    cfg = write_config(tmp_path, (
+        "[experiment]\ntask = rjmcmc\nseed = 5\n\n"
+        f"[data]\nsource = csv\npath = {table_path}\n"
+        "levels.R = r1, r2\nlevels.C = c1, c2\n\n"
+        "[space]\nfactors = R:2, C:2\nforced = 1, R, C\ncandidates = R*C\n\n"
+        f"[prior]\ntemplate = term_blocks\n{setting}\n\n"
+        "[rjmcmc]\niterations = 100\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["rjmcmc", "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

@@ -90,6 +90,16 @@ def test_rejects_ill_conditioned():
         chol_factor(bad)
 
 
+def test_rejects_nan_factor():
+    # A nan in the matrix leaves numpy's factor nan without an error; the
+    # conditioning rule must not pass it, alone or in a stack.
+    bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(NumericalDomainError, match="singular"):
+        chol_factor(bad)
+    with pytest.raises(NumericalDomainError, match="singular"):
+        chol_factor(np.stack([np.eye(2), bad[::-1, ::-1]]))
+
+
 def test_rejects_non_square():
     with pytest.raises(NumericalDomainError):
         chol_factor(np.ones((2, 3)))

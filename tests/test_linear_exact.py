@@ -6,6 +6,7 @@ Three oracles that share no code with the implementation:
   * leave-one-out predictives via the univariate Student-t posterior
     predictive computed from a fresh conjugate update.
 """
+import itertools
 import math
 
 import numpy as np
@@ -17,8 +18,8 @@ from scipy.stats import t as student_t
 from jointbma.averaging import ModelPosterior, normalize_posterior
 from jointbma.exceptions import ContractError, DegenerateDataError, \
     SpecificationError
-from jointbma.linear_exact import LinearDataset, all_subsets_stats, \
-    cv_score, gprior_log_marginals, gprior_sweep, \
+from jointbma.linear_exact import LinearDataset, _subset_log_targets, \
+    all_subsets_stats, cv_score, gprior_log_marginals, gprior_sweep, \
     log_marginal_gprior_closed, log_marginal_nig, loo_predictive_exact, \
     posterior_moments, sample_joint_posterior
 from jointbma.model_space import Baseline, ModelId, ModelPriorPolicy, \
@@ -255,12 +256,48 @@ def test_gprior_log_marginals_match_per_model():
     y = X[:, 0] + rng.standard_normal(n)
     data = LinearDataset(y=y, X=X)
     stats = all_subsets_stats(data)
-    for c2 in (0.5, 100.0, 1e6):
-        values, convention = gprior_log_marginals(stats, c2)
-        assert convention == "improper"
+    for c2, (alpha, lam) in itertools.product((0.5, 100.0, 1e6),
+                                              ((0.0, 0.0), (2.0, 3.0))):
+        values, convention = gprior_log_marginals(stats, c2, alpha, lam)
+        assert convention == ("proper" if alpha else "improper")
         for m, v in zip(stats.models, values):
-            direct = log_marginal_gprior_closed(data, m, c2)
-            assert v == pytest.approx(direct.value, rel=1e-12)
+            direct = log_marginal_gprior_closed(data, m, c2, alpha, lam)
+            assert direct.value == v
+
+
+@pytest.mark.parametrize("c2, constant, error", [
+    (0.0, False, ContractError),
+    (-1.0, False, ContractError),
+    (math.inf, False, ContractError),
+    (math.nan, False, ContractError),
+    (1.0, True, DegenerateDataError),
+])
+def test_linear_routes_reject_the_same_inputs(c2, constant, error):
+    # Every route to a g-prior marginal rejects a bad c^2 with the same
+    # type and text; a constant response has no R^2 for either closed
+    # form (the conjugate routes still give it a finite marginal).
+    rng = np.random.default_rng(50)
+    X = rng.standard_normal((12, 2))
+    y = np.full(12, 3.0) if constant else X[:, 0] + rng.standard_normal(12)
+    data = LinearDataset(y=y, X=X)
+    routes = [
+        lambda: log_marginal_gprior_closed(data, ModelId.linear([1]), c2),
+        lambda: gprior_log_marginals(all_subsets_stats(data), c2),
+    ]
+    if not constant:
+        routes += [
+            lambda: ParamPrior(mu=np.zeros(2), sigma_base=np.eye(2), c2=c2),
+            lambda: _subset_log_targets(
+                data, ModelPriorPolicy(variant="uniform"), c2),
+            lambda: _subset_log_targets(
+                data, ModelPriorPolicy(variant="uniform"), c2,
+                base="identity"),
+        ]
+    match = "response is constant" if constant else \
+        "c2 must be positive and finite"
+    for route in routes:
+        with pytest.raises(error, match=match):
+            route()
 
 
 def test_gprior_sweep_matches_generic_policy_route():
