@@ -152,7 +152,7 @@ def inclusion_probs(posterior, p):
     if isinstance(models, LinearSubsets):
         if models.p > p:
             raise ContractError(
-                f"model references covariate {p} but p = {p}")
+                f"model references covariate {models.p - 1} but p = {p}")
         out[:models.p] = np.exp(posterior.log_probs) @ models.member
         return out
     for m, lp in zip(posterior.models, posterior.log_probs):

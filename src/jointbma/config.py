@@ -9,7 +9,7 @@ the README. Config problems raise ParseError so the command line can
 map them to its config-error exit code.
 """
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import hashlib
 
 import numpy as np
@@ -36,13 +36,18 @@ TASKS = ("sweep", "cv", "rjmcmc", "shrinkage", "simulate", "prior-probs")
 GENERATORS = ("dfn", "nott_kohn")
 
 
-def _require(parser, section):
-    if not parser.has_section(section):
-        raise ParseError(f"config is missing the [{section}] section")
-    return parser[section]
+def _keys(parser, name, required=False):
+    """The [name] section; no keys when it is absent and not required."""
+    if parser.has_section(name):
+        return parser[name]
+    if required:
+        raise ParseError(f"config is missing the [{name}] section")
+    return {}
 
 
 def _get(section, key, cast, default=None, required=False):
+    """The one reader of a key's text: cast(stripped text), else default.
+    A cast's own ParseError passes; its other errors name the key."""
     if key not in section:
         if required:
             raise ParseError(
@@ -51,18 +56,49 @@ def _get(section, key, cast, default=None, required=False):
     raw = section[key].strip()
     try:
         return cast(raw)
+    except ParseError:
+        raise
     except (ValueError, TypeError):
         raise ParseError(
             f"config key [{section.name}] {key} = {raw!r} is not a valid "
             f"{cast.__name__.lstrip('_')}")
 
 
+def _choice(what, options):
+    """Cast to one of options."""
+    def choice(raw):
+        if raw in options:
+            return raw
+        raise ParseError(f"unknown {what} {raw!r}; expected one of {options}")
+    return choice
+
+
+def _optional(cast):
+    """cast for a key whose empty value means unset."""
+    return lambda raw: cast(raw) if raw else None
+
+
+def _list_of(cast):
+    """Cast for a comma-separated list, each nonblank item through cast."""
+    return lambda raw: tuple(cast(item.strip()) for item in raw.split(",")
+                             if item.strip())
+
+
+_csv_list = _list_of(str)
+
+
 def _vector(raw):
     return np.array([float(v) for v in raw.split()])
 
 
-def _csv_list(raw):
-    return [part.strip() for part in raw.split(",") if part.strip()]
+def _indices(raw):
+    values = tuple(int(v) for v in _csv_list(raw))
+    if any(v < 1 for v in values):
+        raise ValueError(raw)
+    return values
+
+
+_indices.__name__ = "list of 1-based indices"
 
 
 def _grid(raw):
@@ -105,6 +141,24 @@ def parse_model_label(text):
         else:
             raise ParseError(f"malformed model label {text!r} (part {part!r})")
     return ModelId.linear(members, intercept=intercept)
+
+
+def _dotted(section, prefix, cast, name=parse_term):
+    """{name(suffix): cast value} of every 'prefix.suffix' key."""
+    return {name(key[len(prefix) + 1:]): _get(section, key, cast)
+            for key in section if key.startswith(prefix + ".")}
+
+
+def _build(cls, **values):
+    """cls from the values given; None keeps the field's default."""
+    return cls(**{k: v for k, v in values.items() if v is not None})
+
+
+def _section(parser, name, cls, **casts):
+    """cls from the optional [name]: each field is its key through cast."""
+    section = _keys(parser, name)
+    return _build(cls, **{key: _get(section, key, cast)
+                          for key, cast in casts.items()})
 
 
 def _parse_factors(raw):
@@ -191,100 +245,74 @@ class ExperimentConfig:
     config_hash: str
 
 
+_TASK = _choice("task", TASKS)
+_FORMAT = _choice("output format", ("csv", "json"))
+
+
 def _parse_policies(parser):
-    if not parser.has_section("policy"):
-        return (ModelPriorPolicy(variant="uniform"),)
-    section = parser["policy"]
-    names = _csv_list(section.get("variants", "uniform"))
+    section = _keys(parser, "policy")
+    names = _get(section, "variants",
+                 _list_of(_choice("policy variant", POLICY_VARIANTS)),
+                 default=("uniform",))
     if not names:
         raise ParseError("[policy] variants lists no policy variant")
-    for name in names:
-        if name not in POLICY_VARIANTS:
-            raise ParseError(
-                f"unknown policy variant {name!r}; expected one of "
-                f"{POLICY_VARIANTS}")
-    kind = section.get("baseline", "constant").strip()
-    if kind == "constant":
-        baseline = Baseline.constant()
-    elif kind == "dimension":
+    kind = _get(section, "baseline", _choice(
+        "baseline kind", ("constant", "dimension", "calibrated")))
+    baseline = Baseline.constant()
+    if kind == "dimension":
         baseline = Baseline.dimension(
             _get(section, "log_weight", float, required=True))
     elif kind == "calibrated":
         baseline = Baseline.calibrated(
             _get(section, "n0", float, required=True),
             _get(section, "psi0", float, required=True))
-    else:
-        raise ParseError(f"unknown baseline kind {kind!r}")
     return tuple(ModelPriorPolicy(variant=name, baseline=baseline)
                  for name in names)
 
 
 def _parse_prior(parser):
-    if not parser.has_section("prior"):
-        return PriorConfig()
-    section = parser["prior"]
-    template = section.get("template", "gprior").strip()
-    if template not in ("gprior", "identity", "term_blocks"):
-        raise ParseError(f"unknown prior template {template!r}")
-    scales = {}
-    means = {}
-    metric = {}
-    for key in section:
-        if key.startswith("scale."):
-            scales[parse_term(key[len("scale."):])] = _get(section, key, float)
-        elif key.startswith("mean."):
-            means[parse_term(key[len("mean."):])] = _get(section, key,
-                                                          _vector)
-        elif key.startswith("metric."):
-            metric[parse_term(key[len("metric."):])] = section[key].strip()
+    section = _keys(parser, "prior")
+    template = _get(section, "template", _choice(
+        "prior template", ("gprior", "identity", "term_blocks")))
+    scales = _dotted(section, "scale", float)
+    means = _dotted(section, "mean", _vector)
+    metric = _dotted(section, "metric", str)
     if "scale" in section:
         scales["default"] = _get(section, "scale", float)
     if "metric" in section:
-        metric["default"] = section["metric"].strip()
-    return PriorConfig(
-        template=template,
-        alpha=_get(section, "alpha", float, default=0.0),
-        lam=_get(section, "lambda", float, default=0.0),
-        c2=_get(section, "c2", float, default=1.0),
-        c2_grid=_get(section, "c2_grid", _grid),
-        metric=metric if metric else "information",
-        scales=scales if scales else 1.0,
-        means=means if means else None)
+        metric["default"] = _get(section, "metric", str)
+    return _build(PriorConfig, template=template,
+                  alpha=_get(section, "alpha", float),
+                  lam=_get(section, "lambda", float),
+                  c2=_get(section, "c2", float),
+                  c2_grid=_get(section, "c2_grid", _grid),
+                  metric=metric or None, scales=scales or None,
+                  means=means or None)
 
 
 def _parse_space(parser):
     if not parser.has_section("space"):
         return None
     section = parser["space"]
-    factors = _parse_factors(
-        _get(section, "factors", str, required=True))
-    forced = tuple(parse_term(t)
-                   for t in _csv_list(section.get("forced", "")))
-    candidates = tuple(parse_term(t)
-                       for t in _csv_list(section.get("candidates", "")))
-    return FactorSpec(factors=factors, forced_terms=forced,
-                      candidate_terms=candidates)
+    return _build(FactorSpec,
+                  factors=_get(section, "factors", _parse_factors,
+                               required=True),
+                  forced_terms=_get(section, "forced", _list_of(parse_term)),
+                  candidate_terms=_get(section, "candidates",
+                                       _list_of(parse_term)))
 
 
 def _parse_data(parser):
-    if not parser.has_section("data"):
-        return DataConfig()
-    section = parser["data"]
-    source = section.get("source", "").strip() or None
-    if source not in (None, "generator", "csv"):
-        raise ParseError(f"unknown data source {source!r}")
-    generator = section.get("generator", "").strip() or None
-    if generator is not None and generator not in GENERATORS:
-        raise ParseError(
-            f"unknown generator {generator!r}; expected one of {GENERATORS}")
-    levels = {}
-    for key in section:
-        if key.startswith("levels."):
-            levels[key[len("levels."):]] = tuple(_csv_list(section[key]))
-    return DataConfig(source=source, generator=generator,
-                      path=section.get("path", "").strip() or None,
-                      response=section.get("response", "y").strip(),
-                      levels=levels)
+    section = _keys(parser, "data")
+    return _build(
+        DataConfig,
+        source=_get(section, "source",
+                    _optional(_choice("data source", ("generator", "csv")))),
+        generator=_get(section, "generator",
+                       _optional(_choice("generator", GENERATORS))),
+        path=_get(section, "path", _optional(str)),
+        response=_get(section, "response", str),
+        levels=_dotted(section, "levels", _csv_list, name=str) or None)
 
 
 def load_config(path, seed_override=None, out_override=None,
@@ -302,82 +330,43 @@ def load_config(path, seed_override=None, out_override=None,
         raise ParseError(f"malformed config {path}: {exc}") from exc
     digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
-    experiment = _require(parser, "experiment")
-    task = _get(experiment, "task", str, required=task_override is None)
+    experiment = _keys(parser, "experiment", required=True)
+    task = _get(experiment, "task", _TASK, required=task_override is None)
     if task_override is not None:
         if task is not None and task != task_override:
             raise ParseError(
                 f"config names task {task!r} but the command line asked "
                 f"for {task_override!r}")
-        task = task_override
-    if task not in TASKS:
-        raise ParseError(f"unknown task {task!r}; expected one of {TASKS}")
+        task = _TASK(task_override)
     seed = seed_override if seed_override is not None else \
         _get(experiment, "seed", int)
-    fmt = fmt_override or experiment.get("format", "csv").strip()
-    if fmt not in ("csv", "json"):
-        raise ParseError(f"unknown output format {fmt!r}")
+    fmt = _FORMAT(fmt_override) if fmt_override else \
+        _get(experiment, "format", _FORMAT, default="csv")
     out = out_override if out_override is not None else \
-        (experiment.get("out", "").strip() or None)
+        _get(experiment, "out", _optional(str))
 
     data = _parse_data(parser)
     prior = _parse_prior(parser)
     policies = _parse_policies(parser)
     space = _parse_space(parser)
 
-    sweep = SweepConfig()
-    if parser.has_section("sweep"):
-        section = parser["sweep"]
-        sweep = SweepConfig(
-            top_k=_get(section, "top_k", int, default=10),
-            watch=tuple(parse_model_label(t)
-                        for t in _csv_list(section.get("watch", ""))))
-        if sweep.top_k < 0:
-            raise ParseError(
-                f"[sweep] top_k must be nonnegative, got {sweep.top_k}")
-
-    rj = RjConfigSection()
-    if parser.has_section("rjmcmc"):
-        section = parser["rjmcmc"]
-        rj = RjConfigSection(
-            iterations=_get(section, "iterations", int, default=10000),
-            burn_in=_get(section, "burn_in", int, default=0),
-            thin=_get(section, "thin", int, default=1),
-            jump_prob=_get(section, "jump_prob", float, default=0.5),
-            within_scale=_get(section, "within_scale", float, default=1.0))
-
-    shrink = ShrinkageConfig()
-    if parser.has_section("shrinkage"):
-        section = parser["shrinkage"]
-        kind = section.get("k_policy", "fixed").strip()
-        if kind not in ("fixed", "proportional_inverse_c"):
-            raise ParseError(f"unknown k_policy {kind!r}")
-        shrink = ShrinkageConfig(
-            n=_get(section, "n", float, default=10.0),
-            beta_hat=_get(section, "beta_hat", float, default=1.0),
-            sigma2=_get(section, "sigma2", float, default=1.0),
-            k_policy=KPolicy(kind=kind,
-                             k0=_get(section, "k0", float, default=1.0)),
-            inv_c2_grid=_get(section, "inv_c2_grid", _grid))
-
-    cv = CvConfig()
-    if parser.has_section("cv"):
-        section = parser["cv"]
-        mode = section.get("mode", "exact").strip()
-        if mode not in ("exact", "gelfand"):
-            raise ParseError(f"unknown cv mode {mode!r}")
-        raw = section.get("covariates", "")
-        try:
-            covariates = tuple(int(v) for v in _csv_list(raw))
-        except ValueError:
-            raise ParseError(
-                f"config key [cv] covariates = {raw.strip()!r} is not a "
-                "list of 1-based indices") from None
-        if any(v < 1 for v in covariates):
-            raise ParseError("cv covariates are 1-based indices")
-        cv = CvConfig(mode=mode,
-                      num_draws=_get(section, "num_draws", int, default=2000),
-                      covariates=covariates)
+    sweep = _section(parser, "sweep", SweepConfig, top_k=int,
+                     watch=_list_of(parse_model_label))
+    if sweep.top_k < 0:
+        raise ParseError(
+            f"[sweep] top_k must be nonnegative, got {sweep.top_k}")
+    rj = _section(parser, "rjmcmc", RjConfigSection, iterations=int,
+                  burn_in=int, thin=int, jump_prob=float, within_scale=float)
+    shrink = _section(parser, "shrinkage", ShrinkageConfig, n=float,
+                      beta_hat=float, sigma2=float, inv_c2_grid=_grid)
+    section, k = _keys(parser, "shrinkage"), shrink.k_policy
+    shrink = replace(shrink, k_policy=KPolicy(
+        kind=_get(section, "k_policy", _choice(
+            "k_policy", ("fixed", "proportional_inverse_c")), default=k.kind),
+        k0=_get(section, "k0", float, default=k.k0)))
+    cv = _section(parser, "cv", CvConfig,
+                  mode=_choice("cv mode", ("exact", "gelfand")),
+                  covariates=_indices, num_draws=int)
 
     needs_seed = (data.source == "generator" or task == "rjmcmc"
                   or (task == "cv" and cv.mode == "gelfand"))

@@ -53,31 +53,34 @@ def simulate_nott_kohn(seed):
     return LinearDataset(y=y, X=X, labels=labels)
 
 
-def _read_rows(path):
-    """CSV rows as (line_number, fields) pairs. Blank lines and full-line
-    '#' comments (command-line output prepends provenance that way) are
-    skipped; line numbers stay physical so errors point at the file."""
+def _read_table(path):
+    """(header, rows) of a header-first CSV: header fields stripped, rows
+    as (line_number, fields) pairs of the header's width. Blank lines and
+    full-line '#' comments (command-line output prepends provenance that
+    way) are skipped; line numbers stay physical to point at the file."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            rows = []
-            for row in reader:
-                if row and not row[0].lstrip().startswith("#"):
-                    rows.append((reader.line_num, row))
-            return rows
+            rows = [(reader.line_num, row) for row in reader
+                    if row and not row[0].lstrip().startswith("#")]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    if not rows:
+        raise ParseError(f"{path} is empty")
+    header = [h.strip() for h in rows[0][1]]
+    for r, row in rows[1:]:
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path} row {r}: {len(row)} fields, expected {len(header)}")
+    return header, rows[1:]
 
 
 def load_linear_csv(path, response="y"):
     """Read a header-first CSV into a LinearDataset. Every non-response
     column becomes a covariate in file order; labels are preserved."""
-    rows = _read_rows(path)
-    if not rows:
-        raise ParseError(f"{path} is empty")
-    header = [h.strip() for h in rows[0][1]]
+    header, rows = _read_table(path)
     if len(set(header)) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
         raise ParseError(f"{path}: duplicate header fields {dupes}")
@@ -87,10 +90,7 @@ def load_linear_csv(path, response="y"):
     y_col = header.index(response)
     x_cols = [k for k in range(len(header)) if k != y_col]
     y, X = [], []
-    for r, row in rows[1:]:
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path} row {r}: {len(row)} fields, expected {len(header)}")
+    for r, row in rows:
         values = []
         for k, cell in enumerate(row):
             text = cell.strip()
@@ -140,10 +140,7 @@ def load_contingency_csv(path, spec, levels):
     label_index = {name: {str(lab): i for i, lab in enumerate(levels[name])}
                    for name, _ in spec.factors}
 
-    rows = _read_rows(path)
-    if not rows:
-        raise ParseError(f"{path} is empty")
-    header = [h.strip() for h in rows[0][1]]
+    header, rows = _read_table(path)
     needed = [name for name, _ in spec.factors] + ["count"]
     for col in needed:
         if col not in header:
@@ -154,10 +151,7 @@ def load_contingency_csv(path, spec, levels):
     shape = [l for _, l in spec.factors]
     strides = np.cumprod([1] + shape[::-1])[:-1][::-1]
     counts = np.full(spec.n_cells, -1.0)
-    for r, row in rows[1:]:
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path} row {r}: {len(row)} fields, expected {len(header)}")
+    for r, row in rows:
         flat = 0
         for k, (name, _) in enumerate(spec.factors):
             label = row[pos[name]].strip()

@@ -36,7 +36,7 @@ from ._linalg import check_factor, chol_factor, chol_solve, factor_logdet, \
     log_sum_exp
 from .averaging import LogMarginal, ModelPosterior
 from .exceptions import ContractError, DegenerateDataError, JointBmaError, \
-    SpecificationError
+    NumericalDomainError, SpecificationError
 from .model_space import LinearSubsets, calibrate_p, model_lookup
 from .param_priors import _check_c2, _check_sigma2_prior, linear_design
 
@@ -135,10 +135,17 @@ def _sigma2_head(n, alpha, lam):
     # Terms of the marginal that depend only on the sigma^2 prior; the
     # improper reference drops the prior normalizer it does not have.
     alpha, lam = _check_sigma2_prior(alpha, lam)
-    if alpha > 0.0:
-        return lgamma(alpha + 0.5 * n) - lgamma(alpha) + alpha * log(2.0 * lam), \
-            "proper"
-    return lgamma(0.5 * n), "improper"
+    if alpha == 0.0:
+        return lgamma(0.5 * n), "improper"
+    try:
+        head = lgamma(alpha + 0.5 * n) - lgamma(alpha) + alpha * log(2.0 * lam)
+    except OverflowError:
+        head = math.inf
+    if not math.isfinite(head):
+        raise NumericalDomainError(
+            f"the sigma^2 prior alpha={alpha}, lam={lam} overflows the "
+            f"marginal likelihood at n={n}")
+    return head, "proper"
 
 
 def _residual(s, yty, lam):
@@ -403,7 +410,7 @@ def all_subsets_stats(data):
 def gprior_log_marginals(stats, c2, alpha=0.0, lam=0.0):
     """Vector of closed-form g-prior log marginals over all subsets at
     one dispersion scale."""
-    c2 = _check_c2(c2)
+    c2 = _check_c2(c2, stats.n)
     nc2 = stats.n * c2
     w = nc2 / (1.0 + nc2)
     s = stats.yty / (1.0 + nc2) + w * stats.tss * (1.0 - stats.r2)
@@ -504,9 +511,9 @@ def _subset_log_targets(data, policy, c2, alpha=0.0, lam=0.0, base="gprior"):
     chol_factor's rule on the matrices the per-model route factors, and s
     meets posterior_moments' rules, so both routes reject the same inputs.
     """
-    c2 = _check_c2(c2)
-    _check_sigma2_prior(alpha, lam)
     n, yty, gprior = data.n, data.yty, base == "gprior"
+    c2 = _check_c2(c2, n if gprior else 1)
+    _check_sigma2_prior(alpha, lam)
     models = LinearSubsets(data.p, intercept=True)
     log_w = _baseline_log_p(policy.baseline, models)
     info = policy.variant in ("adjusted_info", "loglinear_adjusted")

@@ -20,7 +20,8 @@ import numpy as np
 
 from ._linalg import chol_factor, chol_logdet, chol_solve, factor_logdet, \
     inv_factor
-from .exceptions import ContractError, SpecificationError
+from .exceptions import ContractError, NumericalDomainError, \
+    SpecificationError
 
 __all__ = [
     "ParamPrior",
@@ -59,11 +60,14 @@ def _check_sigma2_prior(alpha, lam):
     return alpha, lam
 
 
-def _check_c2(c2):
-    """The dispersion scale c^2 as a float, positive and finite."""
+def _check_c2(c2, n=1):
+    """The dispersion scale c^2 as a float: positive, with c^2, 1/c^2 and
+    n c^2 finite (n is the sample size where a caller forms n c^2)."""
     c2 = float(c2)
-    if not (c2 > 0.0) or not math.isfinite(c2):
-        raise ContractError(f"c2 must be positive and finite, got {c2}")
+    if not (c2 > 0.0 and math.isfinite(n * c2) and math.isfinite(1.0 / c2)):
+        raise ContractError(
+            f"c2 must be positive and finite, with 1/c2 and n c2 finite; "
+            f"got c2 = {c2}, n = {n}")
     return c2
 
 
@@ -98,6 +102,10 @@ class ParamPrior:
                 raise ContractError("sigma_base must be symmetric")
             chol_factor(sigma, "sigma_base")
         c2 = _check_c2(self.c2)
+        # variance() forms c2 * sigma_base on every call; check it once.
+        if d > 0 and not math.isfinite(c2 * float(np.abs(sigma).max())):
+            raise NumericalDomainError(
+                f"prior variance c2 * sigma_base overflows at c2 = {c2}")
         alpha, lam = _check_sigma2_prior(self.alpha, self.lam)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma_base", 0.5 * (sigma + sigma.T))

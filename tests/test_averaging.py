@@ -104,6 +104,11 @@ def test_inclusion_probs_on_lazy_space_matches_model_loop(p):
             with pytest.raises(ContractError,
                                match=f"covariate {p - 1} but p = {p - 1}"):
                 inclusion_probs(post, p - 1)
+    if p >= 2:
+        # The lazy space names its widest covariate, not the width asked.
+        with pytest.raises(ContractError,
+                           match=f"covariate {p - 1} but p = {p - 2}"):
+            inclusion_probs(lazy, p - 2)
 
 
 def test_inclusion_invariant_to_zero_probability_model():

@@ -843,6 +843,56 @@ def test_malformed_or_non_finite_key_exits_2(tmp_path, capsys, task,
     assert message in lines[0]
 
 
+C2_RANGE = "c2 must be positive and finite, with 1/c2 and n c2 finite"
+SIGMA2_OVERFLOW = "overflows the marginal likelihood"
+
+
+FLOAT_RANGE_CASES = [
+    pytest.param(task, prior, code, message, id=f"{task}-{name}")
+    for task in ("sweep", "cv", "rjmcmc")
+    for name, prior, code, message in [
+        ("c2-huge", "c2 = 1e307\nc2_grid = 1e307,1e307,1", 2, C2_RANGE),
+        ("c2-tiny", "c2 = 1e-320\nc2_grid = 1e-320,1e-320,1", 2, C2_RANGE),
+        ("alpha-lambda-huge", "alpha = 1e308\nlambda = 1e308\nc2 = 4\n"
+         "c2_grid = 1,100,3", 3, SIGMA2_OVERFLOW),
+        ("lambda-huge", "alpha = 2\nlambda = 1e308\nc2 = 4\n"
+         "c2_grid = 1,100,3", 3, SIGMA2_OVERFLOW)]
+] + [
+    pytest.param("rjmcmc", "template = identity\nc2 = 1e-320", 2, C2_RANGE,
+                 id="rjmcmc-identity-c2-tiny"),
+    pytest.param("prior-probs",
+                 "template = term_blocks\nscale = 1e300\nc2 = 1e300", 3,
+                 "prior variance c2 * sigma_base overflows",
+                 id="prior-probs-scale-c2-huge"),
+    pytest.param("prior-probs", "template = term_blocks\nc2 = 1e-320", 2,
+                 C2_RANGE, id="prior-probs-c2-tiny"),
+]
+
+
+@pytest.mark.parametrize("task, prior, code, message", FLOAT_RANGE_CASES)
+def test_c2_and_sigma2_prior_at_the_float_range_ends(tmp_path, capsys, task,
+                                                     prior, code, message):
+    # 1/c^2, n c^2, c^2 times the base metric and the sigma^2 terms must
+    # be finite: each overflow is one error line, never a warning or nan.
+    data_path = str(tmp_path / "d.csv")
+    write_linear_csv(small_dataset(n=20, p=2), data_path)
+    space = TWO_BY_TWO if task == "prior-probs" else ""
+    cfg = write_config(tmp_path, (
+        f"[experiment]\ntask = {task}\nseed = 3\n\n"
+        f"[data]\nsource = csv\npath = {data_path}\n\n"
+        f"[prior]\n{prior}\n\n[policy]\nvariants = adjusted_c\n\n"
+        f"[rjmcmc]\niterations = 200\n\n{space}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([task, "--config", cfg]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    prefix = "error: " if code == 2 else "numerical error: "
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+    assert message in lines[0]
+
+
 @pytest.mark.parametrize("setting, message", [
     ("scale = 2\nmean.R = nan", "mu and sigma_base must be finite"),
     ("scale = 1e400", "block scale2 must be positive and finite"),

@@ -270,6 +270,7 @@ def test_gprior_log_marginals_match_per_model():
     (-1.0, False, ContractError),
     (math.inf, False, ContractError),
     (math.nan, False, ContractError),
+    (1e-320, False, ContractError),
     (1.0, True, DegenerateDataError),
 ])
 def test_linear_routes_reject_the_same_inputs(c2, constant, error):
