@@ -42,6 +42,7 @@ __all__ = ["ResultTable", "run_sweep", "main"]
 # Enumerated CLI routes build a prior and a marginal for every subset;
 # past this many covariates that work belongs to the sampler.
 MAX_CLI_ENUM = 15
+MAX_CLI_CV = 12
 
 
 def _fmt(value):
@@ -177,6 +178,11 @@ def _cmd_simulate(cfg):
                                n=data.n, p=data.p))
 
 
+def _check_cap(data, cap, message):
+    if data.p > cap:
+        raise CapacityError(message.format(p=data.p, cap=cap))
+
+
 def _top_positions(probs, k):
     """The first k positions of argsort(-probs, kind="stable"): largest
     probability first, canonical model order among ties. Only the
@@ -208,10 +214,8 @@ def run_sweep(cfg):
     data = _load_linear(cfg)
     if cfg.prior.c2_grid is None:
         raise ParseError("[prior] c2_grid is required for sweep")
-    if data.p > MAX_CLI_ENUM:
-        raise CapacityError(
-            f"sweep enumerates 2^p subsets; p={data.p} exceeds the "
-            f"command-line cap of {MAX_CLI_ENUM}")
+    _check_cap(data, MAX_CLI_ENUM, "sweep enumerates 2^p subsets; p={p} "
+               "exceeds the command-line cap of {cap}")
     stats, sweeps = _gprior_sweeps(cfg, data, cfg.prior.c2_grid)
     labels = _covariate_labels(data)
     watch = [(w, stats.models.position(w)) for w in cfg.sweep.watch]
@@ -259,10 +263,9 @@ def _cmd_cv(cfg):
         labels = _covariate_labels(data)
         data = LinearDataset(y=data.y, X=data.X[:, idx],
                              labels=tuple(labels[j] for j in idx))
-    if data.p > 12:
-        raise CapacityError(
-            f"cv scores 2^p models over n leave-one-out folds; p={data.p} "
-            "exceeds the cap of 12 (select columns via [cv] covariates)")
+    _check_cap(data, MAX_CLI_CV, "cv scores 2^p models over n leave-one-out "
+               "folds; p={p} exceeds the cap of {cap} (select columns via "
+               "[cv] covariates)")
     grid = cfg.prior.c2_grid
     if grid is None:
         grid = np.array([cfg.prior.c2])
@@ -334,10 +337,8 @@ def _cmd_rjmcmc(cfg):
         route = "loglinear"
     else:
         data = _load_linear(cfg)
-        if data.p > MAX_CLI_ENUM:
-            raise CapacityError(
-                f"the collapsed linear route enumerates 2^p subsets; "
-                f"p={data.p} exceeds the command-line cap of {MAX_CLI_ENUM}")
+        _check_cap(data, MAX_CLI_ENUM, "the collapsed linear route enumerates "
+                   "2^p subsets; p={p} exceeds the command-line cap of {cap}")
         if cfg.prior.template not in ("gprior", "identity"):
             raise ParseError(
                 "linear sampling uses [prior] template=gprior or identity")

@@ -59,11 +59,6 @@ __all__ = [
     "gprior_sweep",
 ]
 
-# Policy variants whose weight depends on the model only through d under
-# the g-prior base, so gprior_sweep evaluates them in closed form.
-GPRIOR_SWEEP_VARIANTS = ("uniform", "adjusted_c", "adjusted_info")
-
-
 @dataclass(frozen=True)
 class LinearDataset:
     """Response vector and covariate matrix (without intercept column).
@@ -370,7 +365,10 @@ class AllSubsets:
 def _centered_r2(data, blocks, size):
     """(R^2 of each subset in blocks, as LinearSubsets.blocks gives them,
     in an array of the given size; TSS of the centered response). Each
-    block's centered normal equations are solved as one stacked batch."""
+    block's centered normal equations are solved as one stacked batch,
+    under chol_factor's rule on the covariates' correlation matrix: its
+    principal submatrices are every subset's, and no column's shift or
+    rescaling changes it."""
     yc = data.y - data.y.mean()
     tss = float(yc @ yc)
     if tss <= 0.0:
@@ -378,20 +376,20 @@ def _centered_r2(data, blocks, size):
     Xc = data.X - data.X.mean(axis=0)
     G = Xc.T @ Xc
     g = Xc.T @ yc
+    # Unit-norm columns; a constant one, whatever its centering rounds
+    # to, is scaled to zero and fails the factor.
+    norm = np.where(np.ptp(data.X, axis=0) > 0.0, np.sqrt(G.diagonal()),
+                    np.inf)
+    chol_factor(G / np.outer(norm, norm), "covariate correlation matrix")
 
     r2 = np.zeros(size)
     for k, rows, idx in blocks:
         if k == 0:
             continue
-        Gsub = G[idx[:, :, None], idx[:, None, :]]
         gsub = g[idx]
-        try:
-            # Explicit trailing axis keeps the solve a batched vector solve.
-            coef = np.linalg.solve(Gsub, gsub[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            raise ContractError(
-                "collinear covariates: some subset's normal equations are "
-                "singular")
+        # Explicit trailing axis keeps the solve a batched vector solve.
+        coef = np.linalg.solve(G[idx[:, :, None], idx[:, None, :]],
+                               gsub[:, :, None])[:, :, 0]
         ess = np.einsum("ij,ij->i", coef, gsub)
         r2[rows] = np.clip(ess / tss, 0.0, 1.0)
     return r2, tss
@@ -460,31 +458,32 @@ def _baseline_log_p(baseline, models):
     return np.array([baseline.log_p(m) for m in models])
 
 
+def _gprior_log_weights(policy, stats, c2):
+    """Log prior weight of every subset under the g-prior base at c^2.
+    The base metric inverts the unit information, so each adjustment
+    depends on the model only through d: (d/2) log c^2 for adjusted_c,
+    adjusted_info and loglinear_adjusted, and (d/2) log(c^2 + 1/n) for
+    adjusted_exact."""
+    baseline = _baseline_log_p(policy.baseline, stats.models)
+    if policy.variant == "uniform":
+        return baseline
+    if policy.variant == "adjusted_exact":
+        c2 = c2 + 1.0 / stats.n
+    return baseline + 0.5 * stats.d * log(c2)
+
+
 def gprior_sweep(data, c2_grid, policy, alpha=0.0, lam=0.0):
     """Whole-space posterior as a function of the dispersion scale.
 
     data is a LinearDataset, or the AllSubsets statistics built from one
-    so that several policies can share a single all-subsets pass.
-
-    Supports the policy variants whose weight depends on the model only
-    through d: uniform, adjusted_c, and adjusted_info. For the g-prior
-    base the information adjustment is exactly d log c (the base metric
-    inverts the unit information), so both adjusted variants share one
-    code path. Other variants need per-model matrices; use the generic
-    route for those. Errors raised at a grid point are re-raised
-    annotated with that point.
+    so that several policies can share a single all-subsets pass. Every
+    policy variant has a closed form (see _gprior_log_weights). Errors
+    raised at a grid point are re-raised annotated with that point.
     """
     c2_grid = np.atleast_1d(np.asarray(c2_grid, dtype=float))
     if c2_grid.size == 0 or np.any(c2_grid <= 0.0):
         raise ContractError("c2_grid must contain positive scales")
     stats = data if isinstance(data, AllSubsets) else all_subsets_stats(data)
-    baseline = _baseline_log_p(policy.baseline, stats.models)
-    if policy.variant not in GPRIOR_SWEEP_VARIANTS:
-        raise SpecificationError(
-            f"policy variant {policy.variant!r} needs per-model matrices; "
-            "the closed-form sweep supports uniform, adjusted_c, and "
-            "adjusted_info")
-    d_scale = 0.0 if policy.variant == "uniform" else 0.5 * stats.d
     log_weights = np.zeros((c2_grid.size, len(stats.models)))
     convention = None
     for gi, c2 in enumerate(c2_grid):
@@ -492,7 +491,7 @@ def gprior_sweep(data, c2_grid, policy, alpha=0.0, lam=0.0):
             lm, convention = gprior_log_marginals(stats, c2, alpha, lam)
         except JointBmaError as exc:
             raise type(exc)(f"grid point c2={c2:.17g}: {exc}") from exc
-        log_weights[gi] = baseline + d_scale * log(c2) + lm
+        log_weights[gi] = _gprior_log_weights(policy, stats, c2) + lm
     log_post = log_weights - np.array([log_sum_exp(row)
                                        for row in log_weights])[:, None]
     return SweepResult(models=stats.models, c2_grid=c2_grid,
@@ -503,60 +502,56 @@ def gprior_sweep(data, c2_grid, policy, alpha=0.0, lam=0.0):
 def _subset_log_targets(data, policy, c2, alpha=0.0, lam=0.0, base="gprior"):
     """(models, log targets) of the collapsed linear walk over every
     intercept-containing subset: the log prior weight plus the conjugate
-    log marginal that log_prior_model_weight and posterior_moments give
-    each model under prior_for_linear_model's prior, base "gprior" or
-    "identity". With G = [1 X_S]'[1 X_S] and b = [1 X_S]'y, the prior V is
-    c^2 n G^{-1} or c^2 I, the posterior precision A = G + V^{-1}, and
-    s = y'y - b'A^{-1}b. Each subset size is factored as one batch under
-    chol_factor's rule on the matrices the per-model route factors, and s
-    meets posterior_moments' rules, so both routes reject the same inputs.
+    log marginal of each model under prior_for_linear_model's prior, base
+    "gprior" or "identity". The g-prior targets are gprior_sweep's log
+    weights at c^2, bit for bit. For the identity base, with
+    G = [1 X_S]'[1 X_S] and b = [1 X_S]'y, V = c^2 I, the posterior
+    precision is A = G + V^{-1} and s = y'y - b'A^{-1}b. Each subset size
+    is factored as one batch under chol_factor's rule on the matrices the
+    per-model route factors, and s meets posterior_moments' rules, so
+    both routes reject the same inputs.
     """
-    n, yty, gprior = data.n, data.yty, base == "gprior"
-    c2 = _check_c2(c2, n if gprior else 1)
+    if base == "gprior":
+        stats = all_subsets_stats(data)
+        log_ml, _ = gprior_log_marginals(stats, c2, alpha, lam)
+        return stats.models, _gprior_log_weights(policy, stats, c2) + log_ml
+    n, yty = data.n, data.yty
+    c2 = _check_c2(c2)
     _check_sigma2_prior(alpha, lam)
     models = LinearSubsets(data.p, intercept=True)
     log_w = _baseline_log_p(policy.baseline, models)
     info = policy.variant in ("adjusted_info", "loglinear_adjusted")
-    # Each subset's [F b; b' shrink y'y], F = A / shrink, is one gather
-    # from the Gram matrix of [1 X y]; its last pivot is shrink * s.
+    # Each subset's [A b; b' y'y] is one gather from the Gram matrix of
+    # [1 X y], with V^{-1} added to A; its last pivot is s.
     Zy = np.hstack([np.ones((n, 1)), data.X, data.y[:, None]])
     gram = Zy.T @ Zy
-    shrink = 1.0 + 1.0 / (n * c2) if gprior else 1.0
-    what = "X'X" if gprior else "posterior precision"
-    ld_g, ld_f, s = (np.zeros(len(models)) for _ in range(3))
+    what = "posterior precision"
+    ld_g, ld_a, s = (np.zeros(len(models)) for _ in range(3))
     for k, rows, idx in models.blocks():
         d = k + 1
         cols = np.pad(idx + 1, ((0, 0), (1, 1)),
                       constant_values=(0, data.p + 1))
         M = gram[cols[:, :, None], cols[:, None, :]]
-        F = M[:, :d, :d]
-        if gprior:
-            # Reversed, G has a factor with the diagonal ratio of the
-            # factor of G^{-1}: this is the rule on the prior V.
-            chol_factor(F[:, ::-1, ::-1], "prior variance V")
-        else:
-            if info:
-                ld_g[rows] = factor_logdet(
-                    chol_factor(F, "unit information matrix"))
-            F += np.eye(d) / c2
-        M[:, d, d] *= shrink
+        A = M[:, :d, :d]
+        if info:
+            ld_g[rows] = factor_logdet(
+                chol_factor(A, "unit information matrix"))
+        A += np.eye(d) / c2
         try:
             LM = np.linalg.cholesky(M)
             L, pivot2 = check_factor(LM[:, :d, :d], what), LM[:, d, d] ** 2
         except np.linalg.LinAlgError:
-            # s <= 0 in rounding, or an F that chol_factor rejects.
-            L = chol_factor(F, what)
+            # s <= 0 in rounding, or an A that chol_factor rejects.
+            L = chol_factor(A, what)
             z = np.linalg.solve(L, M[:, :d, d:])[:, :, 0]
             pivot2 = M[:, d, d] - np.einsum("ij,ij->i", z, z)
-        ld_f[rows] = factor_logdet(L)
-        s[rows] = pivot2 / shrink
+        ld_a[rows] = factor_logdet(L)
+        s[rows] = pivot2
 
     d = models.d
-    ld_a = ld_f + d * log(shrink)
-    ld_g = ld_f if gprior else ld_g
-    ld_v = d * log(c2) + (d * log(n) - ld_g if gprior else 0.0)
+    ld_v = d * log(c2)
     if policy.variant == "adjusted_c":
-        log_w += 0.5 * d * log(c2)
+        log_w += 0.5 * ld_v
     elif info:
         log_w += 0.5 * (ld_v + ld_g - d * log(n))
     elif policy.variant == "adjusted_exact":

@@ -206,6 +206,14 @@ def _subset_neighbor_lists(space):
     return [tuple(row) for row in table.tolist()]
 
 
+def _walk(models, config):
+    """A chain's random stream, neighbor lists and log neighbor counts
+    (0.0 for a model with none)."""
+    neighbors = _neighbor_lists(models)
+    return (np.random.Generator(np.random.Philox(config.seed)), neighbors,
+            [math.log(len(nbr)) if nbr else 0.0 for nbr in neighbors])
+
+
 def _policy_weights(models, priors, policy, data):
     """Log prior weight of every model under a policy. The information
     the adjusted variants need comes from data: a ContingencyTable or a
@@ -253,8 +261,6 @@ def rjmcmc_run(space, priors, policy, data, config):
         return _run_linear_collapsed(
             models, _linear_log_targets(models, priors, policy, data),
             config)
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    neighbors = _neighbor_lists(models)
     if isinstance(data, ContingencyTable):
         likelihoods = {m: PoissonLogLinear(data.design(m).X, data.counts)
                        for m in models}
@@ -269,8 +275,7 @@ def rjmcmc_run(space, priors, policy, data, config):
     for m in models:
         if m not in likelihoods:
             raise ContractError(f"no likelihood supplied for {m.label()}")
-    return _run_joint(models, priors, lw, likelihoods, config, rng, neighbors,
-                      kind=kind)
+    return _run_joint(models, priors, lw, likelihoods, config, kind)
 
 
 def _linear_log_targets(models, priors, policy, data):
@@ -290,8 +295,7 @@ def _run_linear_collapsed(models, log_targets, config):
     targets (log prior weight plus exact log marginal, in models order):
     every iteration proposes a uniformly chosen neighbor, so jump_prob
     and within_model_scale play no part."""
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    neighbors = _neighbor_lists(models)
+    rng, neighbors, log_degree = _walk(models, config)
     idx = config.start_index
     trace = np.zeros(config.iterations, dtype=np.int64)
     targets = np.zeros(config.iterations)
@@ -302,7 +306,7 @@ def _run_linear_collapsed(models, log_targets, config):
             attempt += 1
             prop = nbr[int(rng.integers(len(nbr)))]
             log_alpha = (log_targets[prop] - log_targets[idx]
-                         + math.log(len(nbr)) - math.log(len(neighbors[prop])))
+                         + log_degree[idx] - log_degree[prop])
             if math.log(rng.random()) < log_alpha:
                 idx = prop
                 accept += 1
@@ -314,8 +318,8 @@ def _run_linear_collapsed(models, log_targets, config):
                    attempt_within=0, accept_within=0)
 
 
-def _run_joint(models, priors, lw, likelihoods, config, rng, neighbors,
-               kind):
+def _run_joint(models, priors, lw, likelihoods, config, kind):
+    rng, neighbors, log_degree = _walk(models, config)
     # Everything a log target or a proposal needs is formed once per run
     # and lives only as long as it does; caching it on ParamPrior would
     # keep a factor alive for every prior a caller holds. The loop then
@@ -341,7 +345,6 @@ def _run_joint(models, priors, lw, likelihoods, config, rng, neighbors,
         q_consts.append(prior.d * math.log(2.0 * math.pi) - factor_logdet(L))
         cov = chol_solve(L, np.eye(prior.d))
         step_sds.append(config.within_model_scale * np.sqrt(np.diag(cov)))
-    log_degree = [math.log(len(nbr)) if nbr else 0.0 for nbr in neighbors]
 
     idx = config.start_index
     beta = modes[idx].copy()

@@ -25,8 +25,8 @@ from jointbma.datasets import load_linear_csv, write_linear_csv
 from jointbma.exceptions import ConvergenceError, JointBmaError, \
     NumericalDomainError
 from jointbma.glm_laplace import term_block_prior, unit_info_for_model
-from jointbma.linear_exact import _subset_log_targets, gprior_sweep, \
-    log_marginal_nig
+from jointbma.linear_exact import _subset_log_targets, all_subsets_stats, \
+    gprior_sweep, log_marginal_nig
 from jointbma.model_space import POLICY_VARIANTS, Baseline, FactorSpec, \
     ModelId, ModelPriorPolicy, enumerate_hierarchical_models, \
     enumerate_linear_models, log_prior_model_weight
@@ -396,28 +396,61 @@ def stress_dataset(kind, level, n=30, p=4):
 
 
 def test_rjmcmc_subset_targets_match_per_model_route_on_stress_designs():
-    # Same exception class as the per-model route, and the same targets
-    # where both run on a well-conditioned design. Once [1 X]'[1 X] is
-    # singular to working precision (cond >= 1/eps), rounding alone
-    # decides whether a factor passes the conditioning rule, so the
-    # classes are compared below that.
+    # Identity template: the same exception class as the per-model route,
+    # and the same targets where both run on a well-conditioned design.
+    # Once [1 X]'[1 X] is singular to working precision (cond >= 1/eps),
+    # rounding alone decides whether a factor passes the conditioning
+    # rule, so the classes are compared below that.
     outcomes = set()
-    for kind, level, base, (alpha, lam) in itertools.product(
+    for kind, level, (alpha, lam) in itertools.product(
             ("shifted", "rescaled", "near_duplicate", "shifted_scaled"),
-            (2, 4, 6), ("gprior", "identity"), ((0.0, 0.0), (2.0, 3.0))):
+            (2, 4, 6), ((0.0, 0.0), (2.0, 3.0))):
         data = stress_dataset(kind, level)
         design = np.hstack([np.ones((data.n, 1)), data.X])
         cond = np.linalg.cond(design.T @ design)
         for variant in POLICY_VARIANTS:
             args = (data, ModelPriorPolicy(variant=variant), 9.0, alpha,
-                    lam, base)
+                    lam, "identity")
             error, targets = outcome(_subset_log_targets, *args)
             oracle_error, oracle = outcome(per_model_log_targets, *args)
             outcomes.add(error)
             if cond * np.finfo(float).eps < 1.0:
-                assert error == oracle_error, (kind, level, base, variant)
+                assert error == oracle_error, (kind, level, variant)
             if error is None and oracle_error is None and cond <= 1e6:
                 assert np.max(np.abs(targets - oracle)) <= 1e-10
+    assert outcomes == {None, NumericalDomainError}
+
+
+def sweep_outcome(data, policy, c2, alpha=0.0, lam=0.0):
+    """(exception class, None) when the sweep at c2 raises, else (None,
+    its log weights)."""
+    try:
+        sweep = gprior_sweep(all_subsets_stats(data), [c2], policy, alpha,
+                             lam)
+    except JointBmaError as exc:
+        return type(exc), None
+    return None, sweep.log_weights[0]
+
+
+def test_rjmcmc_gprior_targets_equal_sweep_on_stress_designs():
+    # The g-prior walk takes the sweep's statistics and weights, so it
+    # raises what the sweep raises and otherwise equals it bit for bit.
+    # Only a near-duplicate column at 1e-8 fails the rule on the
+    # correlation matrix.
+    outcomes = set()
+    for kind, level, (alpha, lam) in itertools.product(
+            ("shifted", "rescaled", "near_duplicate", "shifted_scaled"),
+            (2, 4, 6, 8), ((0.0, 0.0), (2.0, 3.0))):
+        data = stress_dataset(kind, level)
+        for variant in POLICY_VARIANTS:
+            policy = ModelPriorPolicy(variant=variant)
+            error, targets = outcome(_subset_log_targets, data, policy, 9.0,
+                                     alpha, lam)
+            sweep_error, weights = sweep_outcome(data, policy, 9.0, alpha,
+                                                 lam)
+            outcomes.add(error)
+            assert error == sweep_error, (kind, level, variant)
+            assert error is not None or np.array_equal(targets, weights)
     assert outcomes == {None, NumericalDomainError}
 
 
@@ -471,19 +504,8 @@ def test_rjmcmc_gprior_route_rows_equal_generic_chain(tmp_path, capsys,
     assert np.max(np.abs(fast.log_target - generic.log_target)) <= 1e-10
 
 
-@pytest.mark.parametrize("case,c2,expected", [
-    ("near_duplicate", "9", 3),
-    ("shifted", "9", 3),
-    ("rescaled", "9", 3),
-    ("constant_response", "9", 0),
-    ("perfect_fit", "1e20", 3),
-    ("well_posed", "9", 0),
-])
-def test_rjmcmc_gprior_route_rejects_what_per_model_route_rejects(
-        tmp_path, capsys, case, c2, expected):
-    # Exit codes are the per-model route's: inputs it rejects must not
-    # slip through the all-subsets route, and inputs it accepts (a
-    # constant response has no R^2 but a finite marginal) must run.
+def exit_design(case):
+    """A 40x4 design, made awkward as case says."""
     rng = np.random.Generator(np.random.Philox(4))
     X = rng.standard_normal((40, 4))
     noise = rng.standard_normal(40)
@@ -498,16 +520,64 @@ def test_rjmcmc_gprior_route_rejects_what_per_model_route_rejects(
         y = np.full(40, 3.0)
     elif case == "perfect_fit":
         y = 1.0 + 2.0 * X[:, 0]
-    data = LinearDataset(y=y, X=X)
+    return LinearDataset(y=y, X=X)
+
+
+def exits_of_rjmcmc_and_sweep(tmp_path, data, c2):
+    """Exit codes of g-prior adjusted_info rjmcmc and sweep at c2 on data
+    written to CSV, then the data as read back."""
     data_path = str(tmp_path / "d.csv")
     write_linear_csv(data, data_path)
-    cfg = rjmcmc_config(tmp_path, data_path, c2=c2)
-    assert main(["rjmcmc", "--config", cfg]) == expected
-    args = (load_linear_csv(data_path),
-            ModelPriorPolicy(variant="adjusted_info"), float(c2))
+    sweep_cfg = write_config(tmp_path, (
+        "[experiment]\ntask = sweep\n\n"
+        f"[data]\nsource = csv\npath = {data_path}\n\n"
+        f"[prior]\ntemplate = gprior\nc2_grid = {c2},{c2},1\n\n"
+        "[policy]\nvariants = adjusted_info\n"), name="sweep.ini")
+    codes = (main(["rjmcmc", "--config", rjmcmc_config(tmp_path, data_path,
+                                                       c2=c2)]),
+             main(["sweep", "--config", sweep_cfg]))
+    return codes, load_linear_csv(data_path)
+
+
+@pytest.mark.parametrize("case,c2,expected", [
+    ("near_duplicate", "9", 3),
+    ("well_posed", "9", 0),
+])
+def test_rjmcmc_gprior_route_rejects_what_per_model_route_rejects(
+        tmp_path, capsys, case, c2, expected):
+    # On these designs the per-model route, the all-subsets route and
+    # the sweep agree: the near-duplicate column fails every route's
+    # conditioning rule.
+    codes, data = exits_of_rjmcmc_and_sweep(tmp_path, exit_design(case), c2)
+    assert codes == (expected, expected)
+    args = (data, ModelPriorPolicy(variant="adjusted_info"), float(c2))
     error, _ = outcome(_subset_log_targets, *args)
     assert (error is None) == (expected == 0)
     assert error == outcome(per_model_log_targets, *args)[0]
+
+
+@pytest.mark.parametrize("case,c2,expected", [
+    ("shifted", "9", 0),
+    ("rescaled", "9", 0),
+    ("constant_response", "9", 3),
+    ("perfect_fit", "1e20", 0),
+])
+def test_rjmcmc_gprior_route_exits_as_sweep(tmp_path, capsys, case, c2,
+                                            expected):
+    # The g-prior walk uses the sweep's centered statistics: a shifted or
+    # rescaled column leaves R^2 unchanged, the centered fit keeps s > 0
+    # at c^2 = 1e20, and a constant response has no R^2. The per-model
+    # route factors the uncentered [1 X]'[1 X] and differs on all four.
+    codes, data = exits_of_rjmcmc_and_sweep(tmp_path, exit_design(case), c2)
+    assert codes == (expected, expected)
+    policy = ModelPriorPolicy(variant="adjusted_info")
+    error, targets = outcome(_subset_log_targets, data, policy, float(c2))
+    sweep_error, weights = sweep_outcome(data, policy, float(c2))
+    assert error == sweep_error
+    assert (error is None) == (expected == 0)
+    assert error is not None or np.array_equal(targets, weights)
+    assert error != outcome(per_model_log_targets, data, policy,
+                            float(c2))[0]
 
 
 @pytest.mark.parametrize("template,variant,check_rows", [
@@ -518,8 +588,8 @@ def test_rjmcmc_gprior_route_rejects_what_per_model_route_rejects(
 ])
 def test_rjmcmc_gprior_route_builds_no_per_model_prior(
         tmp_path, capsys, monkeypatch, template, variant, check_rows):
-    # Every template and variant takes the all-subsets route. Rows of the
-    # g-prior sweep variants are held to the per-model chain in
+    # Every template and variant takes the all-subsets route. Rows of
+    # three g-prior variants are held to the per-model chain in
     # test_rjmcmc_gprior_route_rows_equal_generic_chain, the others here.
     calls = {"prior": 0, "moments": 0}
 
@@ -726,6 +796,51 @@ def test_exit_code_3_degenerate_response(tmp_path, capsys):
     assert "response is constant" in err
 
 
+@pytest.mark.parametrize("column", ["constant", "collinear"])
+def test_sweep_exits_3_on_a_singular_correlation_matrix(tmp_path, capsys,
+                                                        column):
+    # The sweep's one domain rule, on the covariates' correlation matrix,
+    # rejects a constant column and an affine copy of another without a
+    # numpy warning.
+    rng = np.random.Generator(np.random.Philox(2))
+    X = rng.standard_normal((20, 3))
+    X[:, 2] = 0.1 if column == "constant" else 2.5 * X[:, 0] + 7.0
+    data_path = str(tmp_path / "d.csv")
+    write_linear_csv(LinearDataset(y=X[:, 0] + rng.standard_normal(20),
+                                   X=X), data_path)
+    cfg = write_config(tmp_path, (
+        "[experiment]\ntask = sweep\n\n"
+        f"[data]\nsource = csv\npath = {data_path}\n\n"
+        "[prior]\ntemplate = gprior\nc2_grid = 1e0,1e2,2\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error: covariate correlation "
+                                   "matrix")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("task,p", [("sweep", 16), ("rjmcmc", 16),
+                                    ("cv", 13)])
+def test_enumerated_tasks_cap_the_covariate_count(tmp_path, capsys, task, p):
+    rng = np.random.Generator(np.random.Philox(0))
+    data_path = str(tmp_path / "wide.csv")
+    write_linear_csv(LinearDataset(y=rng.standard_normal(30),
+                                   X=rng.standard_normal((30, p))), data_path)
+    cfg = write_config(tmp_path, (
+        f"[experiment]\ntask = {task}\nseed = 1\n\n"
+        f"[data]\nsource = csv\npath = {data_path}\n\n"
+        "[prior]\ntemplate = gprior\nc2 = 9\nc2_grid = 1,10,2\n"))
+    assert main([task, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"p={p} exceeds the" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("alpha, lam", [("nan", "nan"), ("inf", "inf"),
                                         ("2", "inf")])
 @pytest.mark.parametrize("task, variant", [
@@ -733,8 +848,8 @@ def test_exit_code_3_degenerate_response(tmp_path, capsys):
     ("rjmcmc", "adjusted_info"), ("rjmcmc", "adjusted_exact")])
 def test_non_finite_sigma2_prior_exits_2(tmp_path, capsys, task, variant,
                                          alpha, lam):
-    # The closed-form routes (sweep, cv, the g-prior rjmcmc route) and the
-    # per-model route (adjusted_exact) share one sigma^2 prior check.
+    # The closed-form routes (sweep, cv, and the g-prior rjmcmc route
+    # under every variant) share one sigma^2 prior check.
     data_path = str(tmp_path / "d.csv")
     write_linear_csv(small_dataset(n=20, p=2), data_path)
     cfg = write_config(tmp_path, (

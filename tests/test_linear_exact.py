@@ -8,6 +8,7 @@ Three oracles that share no code with the implementation:
 """
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,13 +18,13 @@ from scipy.stats import t as student_t
 
 from jointbma.averaging import ModelPosterior, normalize_posterior
 from jointbma.exceptions import ContractError, DegenerateDataError, \
-    SpecificationError
+    NumericalDomainError, SpecificationError
 from jointbma.linear_exact import LinearDataset, _subset_log_targets, \
     all_subsets_stats, cv_score, gprior_log_marginals, gprior_sweep, \
     log_marginal_gprior_closed, log_marginal_nig, loo_predictive_exact, \
     posterior_moments, sample_joint_posterior
-from jointbma.model_space import Baseline, ModelId, ModelPriorPolicy, \
-    enumerate_linear_models, log_prior_model_weight
+from jointbma.model_space import POLICY_VARIANTS, Baseline, ModelId, \
+    ModelPriorPolicy, enumerate_linear_models, log_prior_model_weight
 from jointbma.param_priors import InformationSource, ParamPrior, \
     linear_design, prior_for_linear_model
 
@@ -309,7 +310,7 @@ def test_gprior_sweep_matches_generic_policy_route():
     data = LinearDataset(y=y, X=X)
     grid = np.array([1.0, 50.0, 2500.0])
     baseline = Baseline.dimension(-0.25)
-    for variant in ("uniform", "adjusted_c", "adjusted_info"):
+    for variant in POLICY_VARIANTS:
         policy = ModelPriorPolicy(variant=variant, baseline=baseline)
         sweep = gprior_sweep(data, grid, policy)
         shared = gprior_sweep(all_subsets_stats(data), grid, policy)
@@ -320,13 +321,66 @@ def test_gprior_sweep_matches_generic_policy_route():
                 prior = prior_for_linear_model(data.X, m, c2)
                 marginals.append(log_marginal_nig(data, m, prior))
                 info = InformationSource.linear(linear_design(data.X, m)) \
-                    if variant == "adjusted_info" else None
+                    if variant not in ("uniform", "adjusted_c") else None
                 lws.append(log_prior_model_weight(m, policy, prior=prior,
                                                   info=info))
             expected = normalize_posterior(list(sweep.models), marginals,
                                            log_prior_weights=lws)
             got = sweep.posterior_at(gi)
             assert np.allclose(got.probs, expected.probs, atol=1e-10)
+
+
+def test_subset_log_targets_gprior_equal_sweep_bit_for_bit():
+    # The collapsed walk's g-prior targets are the sweep's log weights.
+    rng = np.random.default_rng(51)
+    X = rng.standard_normal((25, 4))
+    data = LinearDataset(y=1.0 + X[:, 1] + rng.standard_normal(25), X=X)
+    stats = all_subsets_stats(data)
+    for variant, (alpha, lam), c2 in itertools.product(
+            POLICY_VARIANTS, ((0.0, 0.0), (2.0, 3.0)), (0.5, 9.0, 1e6)):
+        policy = ModelPriorPolicy(variant=variant,
+                                  baseline=Baseline.dimension(-0.3))
+        models, targets = _subset_log_targets(data, policy, c2, alpha, lam)
+        sweep = gprior_sweep(stats, [c2], policy, alpha, lam)
+        assert list(models) == list(sweep.models)
+        assert np.array_equal(targets, sweep.log_weights[0])
+
+
+@pytest.mark.parametrize("change", ["rescaled", "shifted"])
+def test_gprior_targets_invariant_to_affine_column_changes(change):
+    # With the intercept in every model, the g-prior weights and
+    # marginals depend on the covariates only through R^2, which a
+    # column's rescaling or shift leaves unchanged.
+    rng = np.random.default_rng(52)
+    X = rng.standard_normal((30, 4))
+    data = LinearDataset(y=1.0 + X[:, 0] - 0.5 * X[:, 1]
+                         + rng.standard_normal(30), X=X)
+    moved = X.copy()
+    if change == "rescaled":
+        moved[:, 2] *= 1e-7
+    else:
+        moved[:, 1] += 1e4
+    for variant, (alpha, lam) in itertools.product(
+            POLICY_VARIANTS, ((0.0, 0.0), (2.0, 3.0))):
+        args = (ModelPriorPolicy(variant=variant), 9.0, alpha, lam)
+        _, expected = _subset_log_targets(data, *args)
+        _, got = _subset_log_targets(LinearDataset(y=data.y, X=moved), *args)
+        assert np.max(np.abs(got - expected)) <= 1e-10
+
+
+@pytest.mark.parametrize("column", ["constant", "duplicate"])
+def test_all_subsets_stats_rejects_a_singular_correlation_matrix(column):
+    # One rule for every subset: chol_factor on the covariates'
+    # correlation matrix, with no numpy warning on the way.
+    rng = np.random.default_rng(53)
+    X = rng.standard_normal((30, 3))
+    X[:, 1] = 0.1 if column == "constant" else X[:, 0] * 3.0 - 2.0
+    data = LinearDataset(y=X[:, 0] + rng.standard_normal(30), X=X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalDomainError,
+                           match="covariate correlation matrix"):
+            all_subsets_stats(data)
 
 
 @pytest.mark.parametrize("baseline", [
