@@ -59,10 +59,10 @@ def check_factor(L, what="matrix"):
     """L, after chol_factor's conditioning rule on that lower Cholesky
     factor, or on each factor in a stack."""
     diag = L.diagonal(axis1=-2, axis2=-1)
-    # cond2(A) = cond2(L)^2 and the diagonal ratio is a cheap lower bound
-    # on cond2(L); good enough to fence off the pathological cases and nan.
-    ratio = (diag.max(axis=-1) / diag.min(axis=-1)).max()
-    if not ratio * ratio <= COND_CAP:
+    # cond2(A) = cond2(L)^2 >= ratio^2, a cheap bound that fences off the
+    # pathological cases and nan; the ratio meets sqrt(COND_CAP) unsquared.
+    ratio = float((diag.max(axis=-1) / diag.min(axis=-1)).max())
+    if not ratio <= COND_CAP ** 0.5:
         raise NumericalDomainError(
             f"{what} is numerically singular (condition estimate "
             f"{ratio * ratio:.3e} exceeds {COND_CAP:.0e})"

@@ -302,13 +302,19 @@ def shrinkage_curve(n, beta_hat, sigma2, k_policy, inv_c2_grid):
     c_grid = inv_c2_grid ** -0.5
 
     info = n / sigma2
+    if not 0.0 < info < math.inf:
+        raise ContractError(
+            f"n/sigma2 = {n}/{sigma2} must be positive and finite")
     w = info / (info + inv_c2_grid)
     post_var = w / info
     post_mean = w * beta_hat
     # Density of the alternative's posterior at beta = 0 drives the
     # model mass: prob(m1) = 1 / (1 + k * sqrt(2 pi) * c * f1(0 | y)).
-    log_f1_at_zero = -0.5 * (np.log(2.0 * math.pi * post_var)
-                             + post_mean ** 2 / post_var)
+    # A z^2 or expansion term past the float range is inf, its limit.
+    with np.errstate(over="ignore"):
+        log_f1_at_zero = -0.5 * (np.log(2.0 * math.pi * post_var)
+                                 + post_mean ** 2 / post_var)
+        expansion_shrink = 1.0 - inv_c2_grid * sigma2 / n
     log_odds_null = (np.log(k_policy.odds(c_grid))
                      + 0.5 * math.log(2.0 * math.pi)
                      + np.log(c_grid) + log_f1_at_zero)
@@ -320,14 +326,14 @@ def shrinkage_curve(n, beta_hat, sigma2, k_policy, inv_c2_grid):
         # c -> infinity: w -> 1, f1(0|y) -> N(0; beta_hat, sigma2/n), and
         # the 1/c odds decay exactly cancels the c in the prior height.
         limit_odds = (k_policy.k0 * math.sqrt(info)
-                      * math.exp(-0.5 * info * beta_hat ** 2))
+                      * math.exp(-0.5 * info * (beta_hat * beta_hat)))
         limit_prob = 1.0 / (1.0 + limit_odds)
 
     return ShrinkageCurve(inv_c2_grid=inv_c2_grid, shrink_weight=w,
                           posterior_mean=post_mean, prob_m1=prob_m1,
                           averaged_mean=prob_m1 * post_mean,
                           coefficient=prob_m1 * w,
-                          expansion_shrink=1.0 - inv_c2_grid * sigma2 / n,
+                          expansion_shrink=expansion_shrink,
                           limit_prob_m1=limit_prob,
                           limit_coefficient=limit_prob, policy=k_policy)
 

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from ._linalg import log_sum_exp
-from .averaging import shrinkage_curve
+from .averaging import inclusion_probs, shrinkage_curve
 from .config import TASKS, load_config
 from .datasets import load_contingency_csv, load_linear_csv, simulate_dfn, \
     simulate_nott_kohn
@@ -236,7 +236,7 @@ def run_sweep(cfg):
             for w, pos in watch:
                 rows.append((policy.variant, float(c2), "watch", w.label(),
                              float(probs[pos])))
-            inclusion = probs @ stats.member
+            inclusion = inclusion_probs(sweep.posterior_at(gi), data.p)
             for j in range(data.p):
                 rows.append((policy.variant, float(c2), "inclusion",
                              labels[j], float(inclusion[j])))

@@ -21,9 +21,8 @@ determinant ratio to -(d/2) log(1 + n c^2) and s to a function of the
 fit R^2 alone, which is what makes whole-space sweeps over 2^p models
 cheap: one batched least-squares pass yields every marginal for every
 dispersion scale, and log_marginal_gprior_closed is that pass on one
-model. Every route applies _residual's rules to s; the vector routes
-share _log_marginals, while posterior_moments, the per-model oracle,
-keeps a scalar assembly.
+model. Every route, posterior_moments included, takes its value from
+_log_marginals, which applies _residual's rules to s.
 """
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,7 +36,7 @@ from ._linalg import check_factor, chol_factor, chol_solve, factor_logdet, \
 from .averaging import LogMarginal, ModelPosterior
 from .exceptions import ContractError, DegenerateDataError, JointBmaError, \
     NumericalDomainError, SpecificationError
-from .model_space import LinearSubsets, calibrate_p, model_lookup
+from .model_space import LinearSubsets, model_lookup
 from .param_priors import _check_c2, _check_sigma2_prior, linear_design
 
 __all__ = [
@@ -126,23 +125,6 @@ class LinearPosterior:
     logml: LogMarginal
 
 
-def _sigma2_head(n, alpha, lam):
-    # Terms of the marginal that depend only on the sigma^2 prior; the
-    # improper reference drops the prior normalizer it does not have.
-    alpha, lam = _check_sigma2_prior(alpha, lam)
-    if alpha == 0.0:
-        return lgamma(0.5 * n), "improper"
-    try:
-        head = lgamma(alpha + 0.5 * n) - lgamma(alpha) + alpha * log(2.0 * lam)
-    except OverflowError:
-        head = math.inf
-    if not math.isfinite(head):
-        raise NumericalDomainError(
-            f"the sigma^2 prior alpha={alpha}, lam={lam} overflows the "
-            f"marginal likelihood at n={n}")
-    return head, "proper"
-
-
 def _residual(s, yty, lam):
     """The residual quantity s (a float or an array), a sum of squares
     in exact arithmetic: rounding below 0 is clamped to 0, a gross
@@ -162,14 +144,38 @@ def _residual(s, yty, lam):
 
 
 def _log_marginals(n, yty, half_logdet, alpha, lam, s):
-    """(values, convention): the vector of conjugate log marginals from
-    each model's half log-determinant term (1/2) log(|V| / |V*|) and its
-    residual quantity s, under _residual's rules."""
-    head, convention = _sigma2_head(n, alpha, lam)
-    alpha, lam = float(alpha), float(lam)
+    """(values, convention, s): each model's conjugate log marginal from
+    its half log-determinant term (1/2) log(|V| / |V*|) and its residual
+    quantity s, a float (math.log) or an array (np.log), after _residual's
+    rules. A proper prior's alpha log(2 lam) - (alpha + n/2) log(2 lam + s)
+    is taken as -alpha log((2 lam + s) / (2 lam)) - (n/2) log(2 lam + s),
+    each log as log(hi) + log1p(lo / hi) over the larger and smaller of
+    2 lam and s, so neither rounds the other away."""
+    alpha, lam = _check_sigma2_prior(alpha, lam)
     s = _residual(s, yty, lam)
-    return (-0.5 * n * log(pi) + head - half_logdet
-            - (alpha + 0.5 * n) * np.log(2.0 * lam + s)), convention
+    ln, ln1p, top, bottom = (np.log, np.log1p, np.maximum, np.minimum) \
+        if isinstance(s, np.ndarray) else (log, math.log1p, max, min)
+    if alpha == 0.0:
+        return (-0.5 * n * log(pi) + lgamma(0.5 * n) - half_logdet
+                - 0.5 * n * ln(s)), "improper", s
+    try:
+        head = lgamma(alpha + 0.5 * n) - lgamma(alpha)
+    except OverflowError:
+        head = math.inf
+    two_lam = 2.0 * lam
+    # Overflow gives inf or nan, which the check below reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = top(s, two_lam)
+        log_hi, log1p_lo = ln(hi), ln1p(bottom(s, two_lam) / hi)
+        # log(hi / (2 lam)) is exactly 0, not a rounding of it, at hi = 2 lam.
+        log_ratio = (s > two_lam) * (log_hi - log(two_lam)) + log1p_lo
+        values = (-0.5 * n * log(pi) + head - half_logdet
+                  - alpha * log_ratio - 0.5 * n * (log_hi + log1p_lo))
+    if not np.all(np.isfinite(values)):
+        raise NumericalDomainError(
+            f"the sigma^2 prior alpha={alpha}, lam={lam} overflows the "
+            f"marginal likelihood at n={n}")
+    return values, "proper", s
 
 
 def posterior_moments(data, m, prior):
@@ -192,18 +198,13 @@ def posterior_moments(data, m, prior):
     Vstar = chol_solve(L_prec, np.eye(d))
     Vstar = 0.5 * (Vstar + Vstar.T)
     ld_vstar = -factor_logdet(L_prec)
-    s = _residual(yty + float(prior.mu @ (v_inv @ prior.mu))
-                  - float(beta_tilde @ b), yty, prior.lam)
-
-    head, convention = _sigma2_head(n, prior.alpha, prior.lam)
-    a_post = prior.alpha + 0.5 * n
-    lambda_post = prior.lam + 0.5 * s
-    value = (-0.5 * n * log(pi) + head + 0.5 * (ld_vstar - ld_v)
-             - a_post * log(2.0 * lambda_post))
+    value, convention, s = _log_marginals(
+        n, yty, 0.5 * (ld_v - ld_vstar), prior.alpha, prior.lam,
+        yty + float(prior.mu @ (v_inv @ prior.mu)) - float(beta_tilde @ b))
     logml = LogMarginal(value=value, method="exact_nig", convention=convention)
     return LinearPosterior(m=m, Vstar=Vstar, beta_tilde=beta_tilde,
-                           a_post=a_post, lambda_post=lambda_post,
-                           logml=logml)
+                           a_post=prior.alpha + 0.5 * n,
+                           lambda_post=prior.lam + 0.5 * s, logml=logml)
 
 
 def log_marginal_nig(data, m, prior):
@@ -226,7 +227,6 @@ def log_marginal_gprior_closed(data, m, c2, alpha=0.0, lam=0.0):
         raise ContractError(
             f"model references column {m.members[-1]} but X has {data.p} "
             "columns")
-    c2 = _check_c2(c2)
     idx = np.array([m.members], dtype=np.intp)
     r2, tss = _centered_r2(data, [(idx.shape[1], slice(0, 1), idx)], 1)
     one = AllSubsets(models=(m,), d=np.array([m.d]), r2=r2,
@@ -413,7 +413,7 @@ def gprior_log_marginals(stats, c2, alpha=0.0, lam=0.0):
     w = nc2 / (1.0 + nc2)
     s = stats.yty / (1.0 + nc2) + w * stats.tss * (1.0 - stats.r2)
     return _log_marginals(stats.n, stats.yty, 0.5 * stats.d * math.log1p(nc2),
-                          alpha, lam, s)
+                          alpha, lam, s)[:2]
 
 
 @dataclass(frozen=True)
@@ -445,26 +445,13 @@ class SweepResult:
         return [self.models[i] for i in np.argmax(self.log_posterior, axis=1)]
 
 
-def _baseline_log_p(baseline, models):
-    """Baseline log p(m) of every subset of a LinearSubsets space:
-    evaluated over models.d for the rules that depend on the model only
-    through d, per model for a table."""
-    if baseline.kind == "constant":
-        return np.zeros(models.d.shape)
-    if baseline.kind == "dimension":
-        return models.d * baseline.log_weight
-    if baseline.kind == "calibrated":
-        return calibrate_p(models.d, baseline.n0, baseline.psi0)
-    return np.array([baseline.log_p(m) for m in models])
-
-
 def _gprior_log_weights(policy, stats, c2):
     """Log prior weight of every subset under the g-prior base at c^2.
     The base metric inverts the unit information, so each adjustment
     depends on the model only through d: (d/2) log c^2 for adjusted_c,
     adjusted_info and loglinear_adjusted, and (d/2) log(c^2 + 1/n) for
     adjusted_exact."""
-    baseline = _baseline_log_p(policy.baseline, stats.models)
+    baseline = policy.baseline._log_p_all(stats.models)
     if policy.variant == "uniform":
         return baseline
     if policy.variant == "adjusted_exact":
@@ -481,7 +468,7 @@ def gprior_sweep(data, c2_grid, policy, alpha=0.0, lam=0.0):
     raised at a grid point are re-raised annotated with that point.
     """
     c2_grid = np.atleast_1d(np.asarray(c2_grid, dtype=float))
-    if c2_grid.size == 0 or np.any(c2_grid <= 0.0):
+    if c2_grid.size == 0:
         raise ContractError("c2_grid must contain positive scales")
     stats = data if isinstance(data, AllSubsets) else all_subsets_stats(data)
     log_weights = np.zeros((c2_grid.size, len(stats.models)))
@@ -517,9 +504,8 @@ def _subset_log_targets(data, policy, c2, alpha=0.0, lam=0.0, base="gprior"):
         return stats.models, _gprior_log_weights(policy, stats, c2) + log_ml
     n, yty = data.n, data.yty
     c2 = _check_c2(c2)
-    _check_sigma2_prior(alpha, lam)
     models = LinearSubsets(data.p, intercept=True)
-    log_w = _baseline_log_p(policy.baseline, models)
+    log_w = policy.baseline._log_p_all(models)
     info = policy.variant in ("adjusted_info", "loglinear_adjusted")
     # Each subset's [A b; b' y'y] is one gather from the Gram matrix of
     # [1 X y], with V^{-1} added to A; its last pivot is s.
@@ -556,5 +542,5 @@ def _subset_log_targets(data, policy, c2, alpha=0.0, lam=0.0, base="gprior"):
         log_w += 0.5 * (ld_v + ld_g - d * log(n))
     elif policy.variant == "adjusted_exact":
         log_w += 0.5 * (ld_v + ld_a - d * log(n))
-    log_ml, _ = _log_marginals(n, yty, 0.5 * (ld_a + ld_v), alpha, lam, s)
+    log_ml = _log_marginals(n, yty, 0.5 * (ld_a + ld_v), alpha, lam, s)[0]
     return models, log_w + log_ml

@@ -395,18 +395,25 @@ class Baseline:
         return cls(kind="table", table=items)
 
     def log_p(self, m):
+        if self.kind != "table":
+            return self._log_p_all(m)
+        try:
+            return float(self._table_index[m])
+        except KeyError:
+            raise ContractError(
+                f"model {m.label()} missing from baseline table") from None
+
+    def _log_p_all(self, models):
+        """log p over a LinearSubsets space, or of one model: one evaluation
+        over models.d, or model by model for a table."""
         if self.kind == "constant":
-            return 0.0
+            return models.d * 0.0
         if self.kind == "dimension":
-            return m.d * self.log_weight
+            return models.d * self.log_weight
         if self.kind == "calibrated":
-            return calibrate_p(m.d, self.n0, self.psi0)
+            return calibrate_p(models.d, self.n0, self.psi0)
         if self.kind == "table":
-            try:
-                return float(self._table_index[m])
-            except KeyError:
-                raise ContractError(
-                    f"model {m.label()} missing from baseline table") from None
+            return np.array([self.log_p(m) for m in models])
         raise SpecificationError(f"unknown baseline kind {self.kind!r}")
 
     @cached_property

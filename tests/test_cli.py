@@ -1008,6 +1008,68 @@ def test_c2_and_sigma2_prior_at_the_float_range_ends(tmp_path, capsys, task,
     assert message in lines[0]
 
 
+EDGE_TABLE = ("[data]\nsource = csv\npath = {table}\n"
+              "levels.A = a1, a2\nlevels.B = b1, b2\n\n" + TERM_BLOCKS
+              + "{setting}\n" + TWO_BY_TWO + "candidates = A*B\n\n"
+              "[rjmcmc]\niterations = 200\n")
+EDGE_SHRINKAGE = "[shrinkage]\n{setting}\ninv_c2_grid = 1e-4,1e-2,9\n"
+EDGE_SWEEP = ("[data]\nsource = csv\npath = {data}\n\n[prior]\n"
+              "template = gprior\nc2_grid = 1,100,3\n{setting}\n\n"
+              "[policy]\nvariants = uniform\n")
+
+
+@pytest.mark.parametrize("task, template, setting, code", [
+    ("rjmcmc", EDGE_TABLE, "scale = 1e308\nscale.A*B = 4", 3),
+    ("rjmcmc", EDGE_TABLE, "scale = 1e-320\nscale.A*B = 4", 3),
+    ("rjmcmc", EDGE_TABLE, "scale = 2\nscale.A*B = 1e-320", 3),
+    ("shrinkage", EDGE_SHRINKAGE, "sigma2 = 1e-320", 2),
+    ("shrinkage", EDGE_SHRINKAGE, "n = 1e-320", 0),
+    ("shrinkage", EDGE_SHRINKAGE, "beta_hat = 1e300", 0),
+    ("shrinkage", EDGE_SHRINKAGE, "beta_hat = 1e308", 0),
+    ("shrinkage", EDGE_SHRINKAGE,
+     "beta_hat = 1e300\nk_policy = proportional_inverse_c", 0),
+    ("sweep", EDGE_SWEEP, "alpha = 1e300\nlambda = 1e300", 0),
+], ids=["table-scale-huge", "table-scale-tiny", "table-interaction-tiny",
+        "shrinkage-sigma2-tiny", "shrinkage-n-tiny",
+        "shrinkage-beta-hat-1e300", "shrinkage-beta-hat-1e308",
+        "shrinkage-proportional-beta-hat-1e300", "sweep-alpha-lambda-1e300"])
+def test_inputs_at_the_float_range_ends_exit_cleanly(tmp_path, capsys, task,
+                                                     template, setting, code):
+    # Each run either exits 0 with only finite numbers and an empty stderr,
+    # or exits 2 or 3 with one error line: never a numpy warning.
+    table = tmp_path / "table.csv"
+    table.write_text("A,B,count\na1,b1,12\na1,b2,7\na2,b1,9\na2,b2,15\n",
+                     encoding="utf-8")
+    data = tmp_path / "d.csv"
+    write_linear_csv(small_dataset(n=20, p=2), str(data))
+    cfg = write_config(tmp_path, f"[experiment]\ntask = {task}\nseed = 5\n\n"
+                       + template.format(table=table, data=data,
+                                         setting=setting))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([task, "--config", cfg]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        return
+    assert captured.err == ""
+    _, _, rows = read_csv_output(captured.out)
+    numbers = []
+    for row in rows:
+        for cell in row:
+            try:
+                numbers.append(float(cell))
+            except ValueError:
+                pass
+    assert rows and np.all(np.isfinite(numbers))
+    if task == "sweep":
+        # Under a uniform model prior a posterior that kept the sigma^2
+        # terms is not uniform: 1e300 must not round s away.
+        probs = [float(row[-1]) for row in rows if row[2] == "model"]
+        assert max(probs) > 2.0 * min(probs)
+
+
 @pytest.mark.parametrize("setting, message", [
     ("scale = 2\nmean.R = nan", "mu and sigma_base must be finite"),
     ("scale = 1e400", "block scale2 must be positive and finite"),

@@ -17,6 +17,7 @@ from scipy.stats import multivariate_t
 from scipy.stats import t as student_t
 
 from jointbma.averaging import ModelPosterior, normalize_posterior
+from jointbma.datasets import simulate_dfn
 from jointbma.exceptions import ContractError, DegenerateDataError, \
     NumericalDomainError, SpecificationError
 from jointbma.linear_exact import LinearDataset, _subset_log_targets, \
@@ -264,6 +265,30 @@ def test_gprior_log_marginals_match_per_model():
         for m, v in zip(stats.models, values):
             direct = log_marginal_gprior_closed(data, m, c2, alpha, lam)
             assert direct.value == v
+
+
+@pytest.mark.parametrize("scale", [1e15, 1e300])
+def test_huge_sigma2_prior_keeps_the_residual_quantity(scale):
+    # alpha = lam -> inf pins sigma^2 at 1, so model differences tend to
+    # those of -half_logdet - s/2 on both the vector route and
+    # posterior_moments': 2 lam + s must not round s away.
+    dfn = simulate_dfn(3)
+    data = LinearDataset(y=dfn.y, X=dfn.X[:, :4])
+    stats = all_subsets_stats(data)
+    c2 = 100.0
+    nc2 = data.n * c2
+    s = data.yty / (1.0 + nc2) + nc2 / (1.0 + nc2) * stats.tss * (
+        1.0 - stats.r2)
+    limit = -0.5 * stats.d * math.log1p(nc2) - 0.5 * s
+    values, convention = gprior_log_marginals(stats, c2, scale, scale)
+    per_model = np.array([
+        log_marginal_nig(data, m, prior_for_linear_model(
+            data.X, m, c2, alpha=scale, lam=scale)).value
+        for m in stats.models])
+    assert convention == "proper"
+    for got in (values, per_model):
+        assert np.allclose(got - got[0], limit - limit[0], rtol=0.0,
+                           atol=1e-9)
 
 
 @pytest.mark.parametrize("c2, constant, error", [
