@@ -34,7 +34,9 @@ def _as_sym(a):
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NumericalDomainError(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.swapaxes(-1, -2))
+    # Halving first is exact and cannot overflow.
+    half = 0.5 * a
+    return half + half.swapaxes(-1, -2)
 
 
 def chol_factor(a, what="matrix"):

@@ -25,7 +25,7 @@ import numpy as np
 from ._linalg import chol_factor, chol_solve, factor_logdet, quad_form
 from .averaging import LogMarginal
 from .exceptions import (ContractError, ConvergenceError, DegenerateDataError,
-                         SpecificationError)
+                         NumericalDomainError, SpecificationError)
 from .param_priors import InformationSource, TermBlock, _stack_blocks
 
 __all__ = [
@@ -328,6 +328,8 @@ def _map_laplace(model, prior, L_V, tol=1e-8, max_iter=100):
     at mu, given the Cholesky factor L_V of V. Returns the fit and the
     Cholesky factor of the curvature V^{-1} - H at the mode."""
     v_inv = chol_solve(L_V, np.eye(model.dim))
+    if not np.all(np.isfinite(v_inv)):
+        raise NumericalDomainError("prior variance V has no finite inverse")
     fit = _newton(model, prior.mu.copy(), tol, max_iter,
                   v_inv=v_inv, mu=prior.mu, kind="map")
     curvature = model.neg_hessian(fit.beta) + v_inv

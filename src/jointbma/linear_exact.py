@@ -23,6 +23,12 @@ cheap: one batched least-squares pass yields every marginal for every
 dispersion scale, and log_marginal_gprior_closed is that pass on one
 model. Every route, posterior_moments included, takes its value from
 _log_marginals, which applies _residual's rules to s.
+
+The conjugate update has two parts: _prior_terms, which depends on the
+prior alone, and _update, which applies one design and response to it.
+The exact leave-one-out matrix (loo_log_predictives) forms each model's
+prior terms and full-data marginal once and runs only _update per fold,
+so each entry equals loo_predictive_exact bit for bit.
 """
 from dataclasses import dataclass
 from functools import cached_property
@@ -178,32 +184,43 @@ def _log_marginals(n, yty, half_logdet, alpha, lam, s):
     return values, "proper", s
 
 
+def _prior_terms(prior, d):
+    """(V^{-1}, log|V|, V^{-1} mu, mu'V^{-1}mu) of a prior on a design of
+    d columns: the part of the conjugate update that no data touch."""
+    if prior.d != d:
+        raise ContractError(
+            f"prior dimension {prior.d} does not match model dimension {d}")
+    L_v = chol_factor(prior.variance(), "prior variance V")
+    v_inv = chol_solve(L_v, np.eye(d))
+    v_inv_mu = v_inv @ prior.mu
+    return v_inv, factor_logdet(L_v), v_inv_mu, float(prior.mu @ v_inv_mu)
+
+
+def _update(Xm, y, yty, prior, terms):
+    """(factor of V*^{-1}, beta_tilde, LogMarginal, s) of the conjugate
+    update of design Xm on y, given y'y and the prior's _prior_terms."""
+    v_inv, ld_v, v_inv_mu, mu_quad = terms
+    L_prec = chol_factor(v_inv + Xm.T @ Xm, "posterior precision")
+    b = v_inv_mu + Xm.T @ y
+    beta_tilde = chol_solve(L_prec, b)
+    ld_vstar = -factor_logdet(L_prec)
+    value, convention, s = _log_marginals(
+        y.shape[0], yty, 0.5 * (ld_v - ld_vstar), prior.alpha, prior.lam,
+        yty + mu_quad - float(beta_tilde @ b))
+    logml = LogMarginal(value=value, method="exact_nig", convention=convention)
+    return L_prec, beta_tilde, logml, s
+
+
 def posterior_moments(data, m, prior):
     """Full conjugate update of one model, marginal likelihood included."""
     Xm = linear_design(data.X, m)
     d = Xm.shape[1]
-    if prior.d != d:
-        raise ContractError(
-            f"prior dimension {prior.d} does not match model dimension {d}")
-    n = data.n
-    y = data.y
-    yty = data.yty
-
-    L_v = chol_factor(prior.variance(), "prior variance V")
-    v_inv = chol_solve(L_v, np.eye(d))
-    ld_v = factor_logdet(L_v)
-    L_prec = chol_factor(v_inv + Xm.T @ Xm, "posterior precision")
-    b = v_inv @ prior.mu + Xm.T @ y
-    beta_tilde = chol_solve(L_prec, b)
+    L_prec, beta_tilde, logml, s = _update(
+        Xm, data.y, data.yty, prior, _prior_terms(prior, d))
     Vstar = chol_solve(L_prec, np.eye(d))
     Vstar = 0.5 * (Vstar + Vstar.T)
-    ld_vstar = -factor_logdet(L_prec)
-    value, convention, s = _log_marginals(
-        n, yty, 0.5 * (ld_v - ld_vstar), prior.alpha, prior.lam,
-        yty + float(prior.mu @ (v_inv @ prior.mu)) - float(beta_tilde @ b))
-    logml = LogMarginal(value=value, method="exact_nig", convention=convention)
     return LinearPosterior(m=m, Vstar=Vstar, beta_tilde=beta_tilde,
-                           a_post=prior.alpha + 0.5 * n,
+                           a_post=prior.alpha + 0.5 * data.n,
                            lambda_post=prior.lam + 0.5 * s, logml=logml)
 
 
@@ -307,9 +324,23 @@ def loo_log_predictives(models, data, priors, mode="exact", rng=None,
     n = data.n
     lpd = np.zeros((len(models), n))
     if mode == "exact":
+        if n < 2:
+            raise ContractError("leave-one-out needs at least two "
+                                "observations")
+        # Each model's prior is factored, and its full-data marginal
+        # taken, once; a fold then runs only the update of its design.
+        # Every fold is loo_predictive_exact's, bit for bit.
+        folds = [np.delete(data.y, j) for j in range(n)]
+        folds = [(y, float(y @ y)) for y in folds]
         for mi, m in enumerate(models):
-            for j in range(n):
-                lpd[mi, j] = loo_predictive_exact(data, m, priors[m], j)
+            prior = priors[m]
+            Xm = linear_design(data.X, m)
+            terms = _prior_terms(prior, Xm.shape[1])
+            full = _update(Xm, data.y, data.yty, prior, terms)[2].value
+            for j, (y, yty) in enumerate(folds):
+                rest = _update(np.delete(Xm, j, axis=0), y, yty, prior,
+                               terms)[2].value
+                lpd[mi, j] = full - rest
     elif mode == "gelfand":
         if rng is None:
             raise ContractError("mode 'gelfand' requires an rng")
@@ -320,13 +351,18 @@ def loo_log_predictives(models, data, priors, mode="exact", rng=None,
             beta, sigma2 = sample_joint_posterior(data, m, priors[m],
                                                   num_draws, rng)
             Xm = linear_design(data.X, m)
-            mean = beta @ Xm.T if Xm.shape[1] else np.zeros((num_draws, n))
-            # log N(y_j | mean_tj, sigma2_t) for every draw and column
-            resid2 = (data.y[None, :] - mean) ** 2
-            log_dens = -0.5 * (np.log(2.0 * pi * sigma2)[:, None]
-                               + resid2 / sigma2[:, None])
-            for j in range(n):
-                lpd[mi, j] = log(num_draws) - log_sum_exp(-log_dens[:, j])
+            # -log N(y_j | mean_tj, sigma2_t) for every draw and column,
+            # formed in place in the buffer of the means.
+            nld = beta @ Xm.T if Xm.shape[1] else np.zeros((num_draws, n))
+            np.subtract(data.y, nld, out=nld)
+            nld *= nld
+            nld /= sigma2[:, None]
+            nld += np.log(2.0 * pi * sigma2)[:, None]
+            nld *= 0.5
+            # A contiguous row per observation reduces faster than a
+            # strided column, to the same bits.
+            lpd[mi] = [log(num_draws) - log_sum_exp(row)
+                       for row in nld.T.copy()]
     else:
         raise SpecificationError(
             f"unknown cv mode {mode!r}; expected 'exact' or 'gelfand'")

@@ -269,20 +269,20 @@ def test_cv_policies_share_one_loo_matrix_per_grid_point(
         assert main(["cv", "--config", cfg]) == 0
         single += read_csv_output(capsys.readouterr().out)[2]
 
-    calls = {"lpd": 0, "fold": 0}
+    calls = {"lpd": 0, "full": 0, "fold": 0}
     real_lpd = cli_module.loo_log_predictives
-    real_fold = linear_exact.loo_predictive_exact
+    real_update = linear_exact._update
 
     def counting_lpd(*args, **kwargs):
         calls["lpd"] += 1
         return real_lpd(*args, **kwargs)
 
-    def counting_fold(*args, **kwargs):
-        calls["fold"] += 1
-        return real_fold(*args, **kwargs)
+    def counting_update(Xm, y, *args):
+        calls["full" if y.shape[0] == 20 else "fold"] += 1
+        return real_update(Xm, y, *args)
 
     monkeypatch.setattr(cli_module, "loo_log_predictives", counting_lpd)
-    monkeypatch.setattr(linear_exact, "loo_predictive_exact", counting_fold)
+    monkeypatch.setattr(linear_exact, "_update", counting_update)
     cfg = write_config(tmp_path, base.format(variants="uniform, adjusted_c"))
     assert main(["cv", "--config", cfg]) == 0
     _, _, rows = read_csv_output(capsys.readouterr().out)
@@ -290,9 +290,11 @@ def test_cv_policies_share_one_loo_matrix_per_grid_point(
     # gelfand mode too: the policies share the draws of one grid point).
     assert rows == single
     assert [r[0] for r in rows] == ["uniform"] * 3 + ["adjusted_c"] * 3
-    # Three grid points, 2^2 models, 20 folds: one matrix per grid point.
+    # Three grid points, 2^2 models, 20 folds: one matrix per grid point,
+    # and one full-data conjugate update per model and grid point (in
+    # gelfand mode, the one its posterior draws come from).
     folds = 3 * 4 * 20 if mode == "exact" else 0
-    assert calls == {"lpd": 3, "fold": folds}
+    assert calls == {"lpd": 3, "full": 3 * 4, "fold": folds}
 
 
 def test_rjmcmc_linear_route(tmp_path, capsys):
@@ -1022,6 +1024,8 @@ EDGE_SWEEP = ("[data]\nsource = csv\npath = {data}\n\n[prior]\n"
     ("rjmcmc", EDGE_TABLE, "scale = 1e308\nscale.A*B = 4", 3),
     ("rjmcmc", EDGE_TABLE, "scale = 1e-320\nscale.A*B = 4", 3),
     ("rjmcmc", EDGE_TABLE, "scale = 2\nscale.A*B = 1e-320", 3),
+    ("rjmcmc", EDGE_TABLE, "scale = 1e-320", 3),
+    ("rjmcmc", EDGE_TABLE, "scale = 1e308\nc2 = 4", 0),
     ("shrinkage", EDGE_SHRINKAGE, "sigma2 = 1e-320", 2),
     ("shrinkage", EDGE_SHRINKAGE, "n = 1e-320", 0),
     ("shrinkage", EDGE_SHRINKAGE, "beta_hat = 1e300", 0),
@@ -1030,6 +1034,7 @@ EDGE_SWEEP = ("[data]\nsource = csv\npath = {data}\n\n[prior]\n"
      "beta_hat = 1e300\nk_policy = proportional_inverse_c", 0),
     ("sweep", EDGE_SWEEP, "alpha = 1e300\nlambda = 1e300", 0),
 ], ids=["table-scale-huge", "table-scale-tiny", "table-interaction-tiny",
+        "table-all-scales-tiny", "table-scale-huge-c2",
         "shrinkage-sigma2-tiny", "shrinkage-n-tiny",
         "shrinkage-beta-hat-1e300", "shrinkage-beta-hat-1e308",
         "shrinkage-proportional-beta-hat-1e300", "sweep-alpha-lambda-1e300"])

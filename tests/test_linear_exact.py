@@ -22,8 +22,8 @@ from jointbma.exceptions import ContractError, DegenerateDataError, \
     NumericalDomainError, SpecificationError
 from jointbma.linear_exact import LinearDataset, _subset_log_targets, \
     all_subsets_stats, cv_score, gprior_log_marginals, gprior_sweep, \
-    log_marginal_gprior_closed, log_marginal_nig, loo_predictive_exact, \
-    posterior_moments, sample_joint_posterior
+    log_marginal_gprior_closed, log_marginal_nig, loo_log_predictives, \
+    loo_predictive_exact, posterior_moments, sample_joint_posterior
 from jointbma.model_space import POLICY_VARIANTS, Baseline, ModelId, \
     ModelPriorPolicy, enumerate_linear_models, log_prior_model_weight
 from jointbma.param_priors import InformationSource, ParamPrior, \
@@ -216,6 +216,44 @@ def test_loo_predictive_matches_t_oracle():
             got = loo_predictive_exact(data, m, prior, j)
             assert got == pytest.approx(loo_t_oracle(data, m, prior, j),
                                         rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("case", ["improper", "proper", "mean",
+                                  "no_intercept"])
+def test_loo_log_predictives_equal_the_per_fold_oracle_bit_for_bit(case):
+    # The exact matrix factors each prior once and takes each full-data
+    # marginal once; every entry must still be loo_predictive_exact's.
+    rng = np.random.default_rng(52)
+    X = rng.standard_normal((15, 3))
+    data = LinearDataset(y=X[:, 1] - 0.5 * X[:, 2] + rng.standard_normal(15),
+                         X=X)
+    alpha, lam = (2.0, 3.0) if case == "proper" else (0.0, 0.0)
+    if case == "no_intercept":
+        models = [ModelId.linear([0, 2], intercept=False),
+                  ModelId.linear([], intercept=False)]
+    else:
+        models = enumerate_linear_models(3)
+    priors = {}
+    for m in models:
+        if case == "mean":
+            mu = rng.standard_normal(m.d)
+            priors[m] = prior_for_linear_model(data.X, m, 4.0, mu=mu,
+                                               base="identity")
+        else:
+            priors[m] = prior_for_linear_model(data.X, m, 9.0, alpha=alpha,
+                                               lam=lam)
+    oracle = [[loo_predictive_exact(data, m, priors[m], j)
+               for j in range(data.n)] for m in models]
+    assert np.array_equal(loo_log_predictives(models, data, priors), oracle)
+
+    m = models[0]
+    wrong = {m: ParamPrior(mu=np.zeros(m.d + 1), sigma_base=np.eye(m.d + 1),
+                           c2=1.0)}
+    with pytest.raises(ContractError, match="dimension"):
+        loo_log_predictives([m], data, wrong)
+    one = LinearDataset(y=data.y[:1], X=data.X[:1])
+    with pytest.raises(ContractError, match="two observations"):
+        loo_log_predictives([m], one, priors)
 
 
 def test_sample_joint_posterior_moments():
