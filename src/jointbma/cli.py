@@ -30,7 +30,7 @@ from .datasets import load_contingency_csv, load_linear_csv, simulate_dfn, \
 from .exceptions import CapacityError, ContractError, ConvergenceError, \
     DegenerateDataError, NumericalDomainError, ParseError, SpecificationError
 from .glm_laplace import term_block_prior
-from .linear_exact import LinearDataset, _subset_log_targets, \
+from .linear_exact import LinearDataset, _identity_log_targets, \
     all_subsets_stats, cv_score_from_lpd, gprior_sweep, loo_log_predictives
 from .model_space import enumerate_hierarchical_models
 from .param_priors import prior_for_linear_model
@@ -147,8 +147,6 @@ def _load_linear(cfg):
 
 
 def _load_table(cfg):
-    if cfg.space is None:
-        raise ParseError("contingency-table tasks need a [space] section")
     if cfg.data.source != "csv" or not cfg.data.path:
         raise ParseError(
             "contingency-table tasks read counts from a CSV; set "
@@ -339,12 +337,16 @@ def _cmd_rjmcmc(cfg):
         data = _load_linear(cfg)
         _check_cap(data, MAX_CLI_ENUM, "the collapsed linear route enumerates "
                    "2^p subsets; p={p} exceeds the command-line cap of {cap}")
-        if cfg.prior.template not in ("gprior", "identity"):
+        if cfg.prior.template == "identity":
+            models, targets = _identity_log_targets(
+                data, policy, cfg.prior.c2, cfg.prior.alpha, cfg.prior.lam)
+        elif cfg.prior.template == "gprior":
+            stats, sweeps = _gprior_sweeps(cfg, data, [cfg.prior.c2])
+            models, targets = stats.models, next(sweeps).log_weights[0]
+        else:
             raise ParseError(
                 "linear sampling uses [prior] template=gprior or identity")
-        chain = _run_linear_collapsed(*_subset_log_targets(
-            data, policy, cfg.prior.c2, alpha=cfg.prior.alpha,
-            lam=cfg.prior.lam, base=cfg.prior.template), sampler)
+        chain = _run_linear_collapsed(models, targets, sampler)
         route = "linear"
     est = estimate_model_probs(chain)
     rows = []

@@ -93,7 +93,7 @@ def _vector(raw):
 
 def _indices(raw):
     values = tuple(int(v) for v in _csv_list(raw))
-    if any(v < 1 for v in values):
+    if any(v < 1 for v in values) or len(set(values)) < len(values):
         raise ValueError(raw)
     return values
 

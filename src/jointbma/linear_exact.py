@@ -21,8 +21,10 @@ determinant ratio to -(d/2) log(1 + n c^2) and s to a function of the
 fit R^2 alone, which is what makes whole-space sweeps over 2^p models
 cheap: one batched least-squares pass yields every marginal for every
 dispersion scale, and log_marginal_gprior_closed is that pass on one
-model. Every route, posterior_moments included, takes its value from
-_log_marginals, which applies _residual's rules to s.
+model. gprior_sweep alone adds the model weights to those marginals;
+sweep, cv and g-prior rjmcmc all take their weights from it. Every
+route takes its value from _log_marginals, which applies _residual's
+rules to s.
 
 The conjugate update has two parts: _prior_terms, which depends on the
 prior alone, and _update, which applies one design and response to it.
@@ -225,7 +227,9 @@ def posterior_moments(data, m, prior):
 
 
 def log_marginal_nig(data, m, prior):
-    return posterior_moments(data, m, prior).logml
+    Xm = linear_design(data.X, m)
+    return _update(Xm, data.y, data.yty, prior,
+                   _prior_terms(prior, Xm.shape[1]))[2]
 
 
 def log_marginal_gprior_closed(data, m, c2, alpha=0.0, lam=0.0):
@@ -522,22 +526,17 @@ def gprior_sweep(data, c2_grid, policy, alpha=0.0, lam=0.0):
                        convention=convention)
 
 
-def _subset_log_targets(data, policy, c2, alpha=0.0, lam=0.0, base="gprior"):
+def _identity_log_targets(data, policy, c2, alpha=0.0, lam=0.0):
     """(models, log targets) of the collapsed linear walk over every
-    intercept-containing subset: the log prior weight plus the conjugate
-    log marginal of each model under prior_for_linear_model's prior, base
-    "gprior" or "identity". The g-prior targets are gprior_sweep's log
-    weights at c^2, bit for bit. For the identity base, with
+    intercept-containing subset under the identity template: the log
+    prior weight plus the conjugate log marginal of each model under
+    prior_for_linear_model's prior with base "identity". With
     G = [1 X_S]'[1 X_S] and b = [1 X_S]'y, V = c^2 I, the posterior
     precision is A = G + V^{-1} and s = y'y - b'A^{-1}b. Each subset size
     is factored as one batch under chol_factor's rule on the matrices the
     per-model route factors, and s meets posterior_moments' rules, so
     both routes reject the same inputs.
     """
-    if base == "gprior":
-        stats = all_subsets_stats(data)
-        log_ml, _ = gprior_log_marginals(stats, c2, alpha, lam)
-        return stats.models, _gprior_log_weights(policy, stats, c2) + log_ml
     n, yty = data.n, data.yty
     c2 = _check_c2(c2)
     models = LinearSubsets(data.p, intercept=True)

@@ -478,8 +478,7 @@ def log_prior_model_weight(m, policy, prior=None, info=None):
         # (d/2) log n is the same quantity: the cell-count powers cancel
         # against the unit normalization of the information matrix.
         return lp + 0.5 * (ld_v + info.logdet())
-    if variant == "adjusted_exact":
-        v_inv = chol_solve(L_V, np.eye(prior.d))
-        mat = info.matrix() + v_inv / info.n
-        return lp + 0.5 * (ld_v + chol_logdet(mat, "i + n^{-1}V^{-1}"))
-    raise SpecificationError(f"unknown policy variant {variant!r}")
+    # adjusted_exact, the one variant left: ModelPriorPolicy admits no other.
+    v_inv = chol_solve(L_V, np.eye(prior.d))
+    mat = info.matrix() + v_inv / info.n
+    return lp + 0.5 * (ld_v + chol_logdet(mat, "i + n^{-1}V^{-1}"))

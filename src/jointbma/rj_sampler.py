@@ -298,7 +298,6 @@ def _run_linear_collapsed(models, log_targets, config):
     rng, neighbors, log_degree = _walk(models, config)
     idx = config.start_index
     trace = np.zeros(config.iterations, dtype=np.int64)
-    targets = np.zeros(config.iterations)
     attempt = accept = 0
     for it in range(config.iterations):
         nbr = neighbors[idx]
@@ -311,11 +310,10 @@ def _run_linear_collapsed(models, log_targets, config):
                 idx = prop
                 accept += 1
         trace[it] = idx
-        targets[it] = log_targets[idx]
-    return RjChain(models=models, model_index=trace, log_target=targets,
-                   config=config, kind="linear_collapsed",
-                   attempt_jump=attempt, accept_jump=accept,
-                   attempt_within=0, accept_within=0)
+    return RjChain(models=models, model_index=trace,
+                   log_target=log_targets[trace], config=config,
+                   kind="linear_collapsed", attempt_jump=attempt,
+                   accept_jump=accept, attempt_within=0, accept_within=0)
 
 
 def _run_joint(models, priors, lw, likelihoods, config, kind):

@@ -25,8 +25,8 @@ from jointbma.datasets import load_linear_csv, write_linear_csv
 from jointbma.exceptions import ConvergenceError, JointBmaError, \
     NumericalDomainError
 from jointbma.glm_laplace import term_block_prior, unit_info_for_model
-from jointbma.linear_exact import _subset_log_targets, all_subsets_stats, \
-    gprior_sweep, log_marginal_nig
+from jointbma.linear_exact import _identity_log_targets, \
+    all_subsets_stats, gprior_sweep, log_marginal_nig
 from jointbma.model_space import POLICY_VARIANTS, Baseline, FactorSpec, \
     ModelId, ModelPriorPolicy, enumerate_hierarchical_models, \
     enumerate_linear_models, log_prior_model_weight
@@ -327,13 +327,37 @@ def collinear_dataset(p, seed, n=30):
 
 
 def rjmcmc_config(tmp_path, data_path, c2="9", variant="adjusted_info",
-                  template="gprior", sigma2="", name="rj.ini"):
+                  template="gprior", sigma2="", name="rj.ini",
+                  iterations=3000):
     return write_config(tmp_path, (
         "[experiment]\ntask = rjmcmc\nseed = 7\n\n"
         f"[data]\nsource = csv\npath = {data_path}\n\n"
         f"[prior]\ntemplate = {template}\nc2 = {c2}\n{sigma2}\n"
         f"[policy]\nvariants = {variant}\n\n"
-        "[rjmcmc]\niterations = 3000\nburn_in = 300\n"), name=name)
+        f"[rjmcmc]\niterations = {iterations}\n"
+        f"burn_in = {iterations // 10}\n"), name=name)
+
+
+def gprior_log_targets(data, policy, c2, alpha=0.0, lam=0.0):
+    """(models, log targets) of the g-prior collapsed walk: the sweep's
+    log weights at c2."""
+    sweep = gprior_sweep(all_subsets_stats(data), [c2], policy, alpha, lam)
+    return sweep.models, sweep.log_weights[0]
+
+
+def rjmcmc_log_targets(monkeypatch, cfg):
+    """(exit code, (models, log targets) that rjmcmc hands the collapsed
+    walk, or (None, None) if it exits before the walk)."""
+    handed = []
+    real = jointbma.cli._run_linear_collapsed
+
+    def spy(models, targets, config):
+        handed.append((models, targets))
+        return real(models, targets, config)
+
+    monkeypatch.setattr(jointbma.cli, "_run_linear_collapsed", spy)
+    code = main(["rjmcmc", "--config", cfg])
+    return code, handed[0] if handed else (None, None)
 
 
 def per_model_log_targets(data, policy, c2, alpha=0.0, lam=0.0,
@@ -371,8 +395,8 @@ def test_rjmcmc_gprior_targets_match_per_model_route():
         for variant, baseline in itertools.product(POLICY_VARIANTS,
                                                    baselines):
             policy = ModelPriorPolicy(variant=variant, baseline=baseline)
-            space, targets = _subset_log_targets(data, policy, c2, alpha,
-                                                 lam)
+            space, targets = gprior_log_targets(data, policy, c2, alpha,
+                                                lam)
             assert list(space) == models
             generic = _policy_weights(models, priors, policy, data) \
                 + marginals
@@ -412,9 +436,10 @@ def test_rjmcmc_subset_targets_match_per_model_route_on_stress_designs():
         cond = np.linalg.cond(design.T @ design)
         for variant in POLICY_VARIANTS:
             args = (data, ModelPriorPolicy(variant=variant), 9.0, alpha,
-                    lam, "identity")
-            error, targets = outcome(_subset_log_targets, *args)
-            oracle_error, oracle = outcome(per_model_log_targets, *args)
+                    lam)
+            error, targets = outcome(_identity_log_targets, *args)
+            oracle_error, oracle = outcome(per_model_log_targets, *args,
+                                           "identity")
             outcomes.add(error)
             if cond * np.finfo(float).eps < 1.0:
                 assert error == oracle_error, (kind, level, variant)
@@ -423,51 +448,102 @@ def test_rjmcmc_subset_targets_match_per_model_route_on_stress_designs():
     assert outcomes == {None, NumericalDomainError}
 
 
-def sweep_outcome(data, policy, c2, alpha=0.0, lam=0.0):
-    """(exception class, None) when the sweep at c2 raises, else (None,
-    its log weights)."""
-    try:
-        sweep = gprior_sweep(all_subsets_stats(data), [c2], policy, alpha,
-                             lam)
-    except JointBmaError as exc:
-        return type(exc), None
-    return None, sweep.log_weights[0]
-
-
-def test_rjmcmc_gprior_targets_equal_sweep_on_stress_designs():
-    # The g-prior walk takes the sweep's statistics and weights, so it
-    # raises what the sweep raises and otherwise equals it bit for bit.
-    # Only a near-duplicate column at 1e-8 fails the rule on the
-    # correlation matrix.
+def test_rjmcmc_gprior_targets_equal_sweep_on_stress_designs(tmp_path,
+                                                             monkeypatch):
+    # g-prior rjmcmc takes the sweep's statistics and weights, so it
+    # exits 3 where the sweep raises and otherwise hands the walk the
+    # sweep's weights bit for bit. Only a near-duplicate column at 1e-8
+    # fails the rule on the correlation matrix.
     outcomes = set()
+    data_path = str(tmp_path / "d.csv")
     for kind, level, (alpha, lam) in itertools.product(
             ("shifted", "rescaled", "near_duplicate", "shifted_scaled"),
             (2, 4, 6, 8), ((0.0, 0.0), (2.0, 3.0))):
-        data = stress_dataset(kind, level)
+        write_linear_csv(stress_dataset(kind, level), data_path)
+        data = load_linear_csv(data_path)
         for variant in POLICY_VARIANTS:
-            policy = ModelPriorPolicy(variant=variant)
-            error, targets = outcome(_subset_log_targets, data, policy, 9.0,
-                                     alpha, lam)
-            sweep_error, weights = sweep_outcome(data, policy, 9.0, alpha,
-                                                 lam)
-            outcomes.add(error)
-            assert error == sweep_error, (kind, level, variant)
-            assert error is not None or np.array_equal(targets, weights)
+            cfg = rjmcmc_config(tmp_path, data_path, variant=variant,
+                                sigma2=f"alpha = {alpha}\nlambda = {lam}\n",
+                                iterations=200)
+            code, (_, targets) = rjmcmc_log_targets(monkeypatch, cfg)
+            sweep_error, weights = outcome(
+                gprior_log_targets, data, ModelPriorPolicy(variant=variant),
+                9.0, alpha, lam)
+            outcomes.add(sweep_error)
+            assert code == (0 if sweep_error is None else 3), \
+                (kind, level, variant)
+            assert sweep_error is not None or np.array_equal(targets,
+                                                             weights)
     assert outcomes == {None, NumericalDomainError}
 
 
+def test_rjmcmc_gprior_targets_equal_sweep_bit_for_bit(tmp_path,
+                                                       monkeypatch):
+    # The log targets g-prior rjmcmc hands the collapsed walk are the
+    # sweep's log weights at its c^2.
+    rng = np.random.default_rng(51)
+    X = rng.standard_normal((25, 4))
+    data_path = str(tmp_path / "d.csv")
+    write_linear_csv(LinearDataset(y=1.0 + X[:, 1] + rng.standard_normal(25),
+                                   X=X), data_path)
+    stats = all_subsets_stats(load_linear_csv(data_path))
+    for variant, (alpha, lam), c2 in itertools.product(
+            POLICY_VARIANTS, ((0.0, 0.0), (2.0, 3.0)), ("0.5", "9", "1e6")):
+        cfg = rjmcmc_config(
+            tmp_path, data_path, c2=c2,
+            variant=f"{variant}\nbaseline = dimension\nlog_weight = -0.3",
+            sigma2=f"alpha = {alpha}\nlambda = {lam}\n", iterations=200)
+        code, (models, targets) = rjmcmc_log_targets(monkeypatch, cfg)
+        policy = ModelPriorPolicy(variant=variant,
+                                  baseline=Baseline.dimension(-0.3))
+        sweep = gprior_sweep(stats, [float(c2)], policy, alpha, lam)
+        assert code == 0
+        assert list(models) == list(sweep.models)
+        assert np.array_equal(targets, sweep.log_weights[0])
+
+
 def test_rjmcmc_subset_targets_match_per_model_route_at_perfect_fit():
-    # s is zero up to rounding, which the last pivot of an augmented
-    # factor cannot hold; a proper sigma^2 prior keeps every marginal
-    # defined on both routes.
+    # s is zero up to rounding on the per-model route; a proper sigma^2
+    # prior keeps every marginal defined on both routes. The identity
+    # route's case is test_identity_targets_match_per_model_route_past_a_
+    # failed_factor.
     rng = np.random.Generator(np.random.Philox(4))
     X = rng.standard_normal((40, 4))
     data = LinearDataset(y=1.0 + 2.0 * X[:, 0], X=X)
     for variant in POLICY_VARIANTS:
         args = (data, ModelPriorPolicy(variant=variant), 1e20, 2.0, 3.0)
-        _, targets = _subset_log_targets(*args)
+        _, targets = gprior_log_targets(*args)
         _, oracle = per_model_log_targets(*args)
         assert np.max(np.abs(targets - oracle)) <= 1e-10
+
+
+def test_identity_targets_match_per_model_route_past_a_failed_factor(
+        monkeypatch):
+    # An exact fit y = 1 + 2 x1 - x3 at a huge c^2: s is zero up to
+    # rounding on the subsets holding x1 and x3, so their batch's
+    # augmented factor fails and the identity route factors A alone,
+    # taking s from the Schur complement.
+    rng = np.random.Generator(np.random.Philox(4))
+    X = rng.standard_normal((20, 3))
+    data = LinearDataset(y=1.0 + 2.0 * X[:, 0] - X[:, 2], X=X)
+    factored = []
+    real = jointbma.linear_exact.chol_factor
+
+    def spy(a, what, *args):
+        factored.append(what)
+        return real(a, what, *args)
+
+    monkeypatch.setattr(jointbma.linear_exact, "chol_factor", spy)
+    fell_back = 0
+    for c2, variant in itertools.product((1e16, 1e20), POLICY_VARIANTS):
+        args = (data, ModelPriorPolicy(variant=variant), c2, 2.0, 3.0)
+        _, oracle = per_model_log_targets(*args, "identity")
+        factored.clear()
+        _, targets = _identity_log_targets(*args)
+        # Only the fallback factors A by chol_factor.
+        fell_back += "posterior precision" in factored
+        assert np.max(np.abs(targets - oracle)) <= 1e-12
+    assert fell_back
 
 
 @pytest.mark.parametrize("variant,c2,sigma2", [
@@ -500,8 +576,10 @@ def test_rjmcmc_gprior_route_rows_equal_generic_chain(tmp_path, capsys,
     assert rows == expected
     assert prov["jump_rate"] == "%.17g" % generic.jump_rate()
 
-    fast = _run_linear_collapsed(*_subset_log_targets(
-        data, policy, float(c2), alpha, lam), config)
+    space, targets = gprior_log_targets(data, policy, float(c2), alpha, lam)
+    fast = _run_linear_collapsed(space, targets, config)
+    # The trace's log targets, as the walk would store them step by step.
+    assert fast.log_target.tolist() == [targets[i] for i in fast.model_index]
     assert np.array_equal(fast.model_index, generic.model_index)
     assert np.max(np.abs(fast.log_target - generic.log_target)) <= 1e-10
 
@@ -525,9 +603,10 @@ def exit_design(case):
     return LinearDataset(y=y, X=X)
 
 
-def exits_of_rjmcmc_and_sweep(tmp_path, data, c2):
+def exits_of_rjmcmc_and_sweep(tmp_path, monkeypatch, data, c2):
     """Exit codes of g-prior adjusted_info rjmcmc and sweep at c2 on data
-    written to CSV, then the data as read back."""
+    written to CSV, the data as read back, and the log targets rjmcmc
+    hands the walk (None if it exits first)."""
     data_path = str(tmp_path / "d.csv")
     write_linear_csv(data, data_path)
     sweep_cfg = write_config(tmp_path, (
@@ -535,10 +614,10 @@ def exits_of_rjmcmc_and_sweep(tmp_path, data, c2):
         f"[data]\nsource = csv\npath = {data_path}\n\n"
         f"[prior]\ntemplate = gprior\nc2_grid = {c2},{c2},1\n\n"
         "[policy]\nvariants = adjusted_info\n"), name="sweep.ini")
-    codes = (main(["rjmcmc", "--config", rjmcmc_config(tmp_path, data_path,
-                                                       c2=c2)]),
-             main(["sweep", "--config", sweep_cfg]))
-    return codes, load_linear_csv(data_path)
+    code, (_, targets) = rjmcmc_log_targets(
+        monkeypatch, rjmcmc_config(tmp_path, data_path, c2=c2))
+    codes = (code, main(["sweep", "--config", sweep_cfg]))
+    return codes, load_linear_csv(data_path), targets
 
 
 @pytest.mark.parametrize("case,c2,expected", [
@@ -546,14 +625,15 @@ def exits_of_rjmcmc_and_sweep(tmp_path, data, c2):
     ("well_posed", "9", 0),
 ])
 def test_rjmcmc_gprior_route_rejects_what_per_model_route_rejects(
-        tmp_path, capsys, case, c2, expected):
+        tmp_path, capsys, monkeypatch, case, c2, expected):
     # On these designs the per-model route, the all-subsets route and
     # the sweep agree: the near-duplicate column fails every route's
     # conditioning rule.
-    codes, data = exits_of_rjmcmc_and_sweep(tmp_path, exit_design(case), c2)
+    codes, data, _ = exits_of_rjmcmc_and_sweep(tmp_path, monkeypatch,
+                                               exit_design(case), c2)
     assert codes == (expected, expected)
     args = (data, ModelPriorPolicy(variant="adjusted_info"), float(c2))
-    error, _ = outcome(_subset_log_targets, *args)
+    error, _ = outcome(gprior_log_targets, *args)
     assert (error is None) == (expected == 0)
     assert error == outcome(per_model_log_targets, *args)[0]
 
@@ -564,22 +644,23 @@ def test_rjmcmc_gprior_route_rejects_what_per_model_route_rejects(
     ("constant_response", "9", 3),
     ("perfect_fit", "1e20", 0),
 ])
-def test_rjmcmc_gprior_route_exits_as_sweep(tmp_path, capsys, case, c2,
-                                            expected):
+def test_rjmcmc_gprior_route_exits_as_sweep(tmp_path, capsys, monkeypatch,
+                                            case, c2, expected):
     # The g-prior walk uses the sweep's centered statistics: a shifted or
     # rescaled column leaves R^2 unchanged, the centered fit keeps s > 0
     # at c^2 = 1e20, and a constant response has no R^2. The per-model
     # route factors the uncentered [1 X]'[1 X] and differs on all four.
-    codes, data = exits_of_rjmcmc_and_sweep(tmp_path, exit_design(case), c2)
+    codes, data, targets = exits_of_rjmcmc_and_sweep(
+        tmp_path, monkeypatch, exit_design(case), c2)
     assert codes == (expected, expected)
     policy = ModelPriorPolicy(variant="adjusted_info")
-    error, targets = outcome(_subset_log_targets, data, policy, float(c2))
-    sweep_error, weights = sweep_outcome(data, policy, float(c2))
-    assert error == sweep_error
-    assert (error is None) == (expected == 0)
-    assert error is not None or np.array_equal(targets, weights)
-    assert error != outcome(per_model_log_targets, data, policy,
-                            float(c2))[0]
+    sweep_error, weights = outcome(gprior_log_targets, data, policy,
+                                   float(c2))
+    assert (targets is None) == (sweep_error is not None)
+    assert (sweep_error is None) == (expected == 0)
+    assert sweep_error is not None or np.array_equal(targets, weights)
+    assert sweep_error != outcome(per_model_log_targets, data, policy,
+                                  float(c2))[0]
 
 
 @pytest.mark.parametrize("template,variant,check_rows", [
@@ -593,7 +674,7 @@ def test_rjmcmc_gprior_route_builds_no_per_model_prior(
     # Every template and variant takes the all-subsets route. Rows of
     # three g-prior variants are held to the per-model chain in
     # test_rjmcmc_gprior_route_rows_equal_generic_chain, the others here.
-    calls = {"prior": 0, "moments": 0}
+    calls = {"prior": 0, "update": 0}
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -603,15 +684,14 @@ def test_rjmcmc_gprior_route_builds_no_per_model_prior(
 
     monkeypatch.setattr(jointbma.cli, "prior_for_linear_model",
                         counted("prior", jointbma.cli.prior_for_linear_model))
-    monkeypatch.setattr(jointbma.linear_exact, "posterior_moments",
-                        counted("moments",
-                                jointbma.linear_exact.posterior_moments))
+    monkeypatch.setattr(jointbma.linear_exact, "_update",
+                        counted("update", jointbma.linear_exact._update))
     data_path = str(tmp_path / "d.csv")
     write_linear_csv(collinear_dataset(3, seed=2), data_path)
     cfg = rjmcmc_config(tmp_path, data_path, variant=variant,
                         template=template)
     assert main(["rjmcmc", "--config", cfg]) == 0
-    assert calls == {"prior": 0, "moments": 0}
+    assert calls == {"prior": 0, "update": 0}
     if check_rows:
         _, _, rows = read_csv_output(capsys.readouterr().out)
         data = load_linear_csv(data_path)
@@ -906,6 +986,7 @@ TWO_BY_TWO = "\n[space]\nfactors = A:2, B:2\nforced = 1, A, B\n"
 @pytest.mark.parametrize("task, section, message", [
     ("cv", "[cv]\ncovariates = 1.5\n", "[cv] covariates = '1.5'"),
     ("cv", "[cv]\ncovariates = 2, x\n", "[cv] covariates = '2, x'"),
+    ("cv", "[cv]\ncovariates = 1, 1\n", "[cv] covariates = '1, 1'"),
     ("sweep", "[policy]\nbaseline = calibrated\nn0 = nan\npsi0 = 1\n",
      "finite n0 and psi0"),
     ("sweep", "[policy]\nbaseline = calibrated\nn0 = 24\npsi0 = inf\n",
@@ -934,13 +1015,27 @@ TWO_BY_TWO = "\n[space]\nfactors = A:2, B:2\nforced = 1, A, B\n"
      "block scale2 must be positive and finite"),
     ("prior-probs", TERM_BLOCKS + "mean.A = x\n" + TWO_BY_TWO,
      "[prior] mean.A = 'x' is not a valid vector"),
-], ids=["cv-covariate-float", "cv-covariate-text", "calibrated-n0-nan",
+    ("sweep", "[prior]\ntemplate = identity\nc2_grid = 1,100,3\n",
+     "sweep uses the closed-form g-prior route"),
+    ("cv", "[prior]\ntemplate = identity\nc2 = 4\n",
+     "cv uses the closed-form g-prior route"),
+    ("rjmcmc", TERM_BLOCKS + "scale = 9\n",
+     "linear sampling uses [prior] template=gprior or identity"),
+    ("prior-probs", "[prior]\ntemplate = gprior\n" + TWO_BY_TWO,
+     "prior-probs uses per-term priors"),
+    ("rjmcmc", "[prior]\ntemplate = gprior\n" + TWO_BY_TWO,
+     "rjmcmc uses per-term priors"),
+], ids=["cv-covariate-float", "cv-covariate-text", "cv-covariate-repeated",
+        "calibrated-n0-nan",
         "calibrated-psi0-inf", "shrinkage-n-inf", "shrinkage-sigma2-inf",
         "shrinkage-beta-hat-nan", "shrinkage-k0-inf", "rjmcmc-within-inf",
         "rjmcmc-within-nan", "sweep-c2-grid-high-inf",
         "sweep-c2-grid-both-inf", "shrinkage-inv-c2-grid-high-inf",
         "prior-probs-mean-nan", "prior-probs-scale-inf",
-        "prior-probs-scale-overflow", "prior-probs-mean-text"])
+        "prior-probs-scale-overflow", "prior-probs-mean-text",
+        "sweep-template-identity", "cv-template-identity",
+        "linear-rjmcmc-template-term-blocks", "prior-probs-template-gprior",
+        "table-rjmcmc-template-gprior"])
 def test_malformed_or_non_finite_key_exits_2(tmp_path, capsys, task,
                                              section, message):
     data_path = str(tmp_path / "d.csv")

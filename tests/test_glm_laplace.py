@@ -12,8 +12,8 @@ import pytest
 from scipy import integrate
 from scipy.stats import multivariate_normal, poisson
 
-from jointbma.exceptions import ContractError, DegenerateDataError, \
-    SpecificationError
+from jointbma.exceptions import ContractError, ConvergenceError, \
+    DegenerateDataError, SpecificationError
 from jointbma.glm_laplace import ContingencyTable, GaussianKnownVar, \
     PoissonLogLinear, build_design, fit_map_poisson, fit_mle_poisson, \
     log_marginal_laplace, log_marginal_laplace_model, term_block_prior, \
@@ -162,6 +162,43 @@ def test_map_exists_on_degenerate_table(spec22):
     v_inv = np.linalg.inv(prior.variance())
     stationarity = model.grad(fit.beta) - v_inv @ (fit.beta - prior.mu)
     assert np.max(np.abs(stationarity)) < 1e-7
+
+
+def test_mle_stops_at_the_iteration_cap(spec22):
+    counts = np.array([12.0, 7.0, 9.0, 22.0])
+    m = ModelId.loglinear(spec22, [(), ("R",), ("C",)])
+    design = build_design(spec22, m)
+    with pytest.raises(ConvergenceError,
+                       match="no convergence in 1 Newton iterations") as exc:
+        fit_mle_poisson(design.X, counts, max_iter=1)
+    assert exc.value.iterations == 1
+    assert exc.value.last_iterate.shape == (3,)
+
+
+class Cliff:
+    """A likelihood that falls off everywhere but at the origin, so no
+    damped Newton step from there raises the objective."""
+
+    dim = 1
+    domain_bound = None
+
+    def loglik(self, beta):
+        return 0.0 if beta[0] == 0.0 else -1.0
+
+    def grad(self, beta):
+        return np.ones(1)
+
+    def neg_hessian(self, beta):
+        return np.eye(1)
+
+
+def test_newton_step_that_cannot_improve_is_a_convergence_error():
+    prior = ParamPrior(mu=np.zeros(1), sigma_base=np.eye(1), c2=1.0)
+    with pytest.raises(ConvergenceError,
+                       match="Newton step failed to improve") as exc:
+        log_marginal_laplace_model(Cliff(), prior)
+    assert exc.value.iterations == 1
+    assert np.array_equal(exc.value.last_iterate, np.zeros(1))
 
 
 def test_gaussian_known_variance_laplace_is_exact():

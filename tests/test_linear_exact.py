@@ -20,7 +20,7 @@ from jointbma.averaging import ModelPosterior, normalize_posterior
 from jointbma.datasets import simulate_dfn
 from jointbma.exceptions import ContractError, DegenerateDataError, \
     NumericalDomainError, SpecificationError
-from jointbma.linear_exact import LinearDataset, _subset_log_targets, \
+from jointbma.linear_exact import LinearDataset, _identity_log_targets, \
     all_subsets_stats, cv_score, gprior_log_marginals, gprior_sweep, \
     log_marginal_gprior_closed, log_marginal_nig, loo_log_predictives, \
     loo_predictive_exact, posterior_moments, sample_joint_posterior
@@ -110,6 +110,8 @@ def test_marginal_matches_quadrature_proper_and_improper():
             k = int(rng.integers(0, 3))
             data, m, prior = make_instance(rng, n, k, proper=proper)
             got = log_marginal_nig(data, m, prior)
+            # The full update's marginal, bit for bit.
+            assert got == posterior_moments(data, m, prior).logml
             oracle = quadrature_marginal_oracle(data, m, prior)
             assert got.value == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
@@ -352,11 +354,10 @@ def test_linear_routes_reject_the_same_inputs(c2, constant, error):
     if not constant:
         routes += [
             lambda: ParamPrior(mu=np.zeros(2), sigma_base=np.eye(2), c2=c2),
-            lambda: _subset_log_targets(
+            lambda: gprior_sweep(all_subsets_stats(data), [c2],
+                                 ModelPriorPolicy(variant="uniform")),
+            lambda: _identity_log_targets(
                 data, ModelPriorPolicy(variant="uniform"), c2),
-            lambda: _subset_log_targets(
-                data, ModelPriorPolicy(variant="uniform"), c2,
-                base="identity"),
         ]
     match = "response is constant" if constant else \
         "c2 must be positive and finite"
@@ -393,22 +394,6 @@ def test_gprior_sweep_matches_generic_policy_route():
             assert np.allclose(got.probs, expected.probs, atol=1e-10)
 
 
-def test_subset_log_targets_gprior_equal_sweep_bit_for_bit():
-    # The collapsed walk's g-prior targets are the sweep's log weights.
-    rng = np.random.default_rng(51)
-    X = rng.standard_normal((25, 4))
-    data = LinearDataset(y=1.0 + X[:, 1] + rng.standard_normal(25), X=X)
-    stats = all_subsets_stats(data)
-    for variant, (alpha, lam), c2 in itertools.product(
-            POLICY_VARIANTS, ((0.0, 0.0), (2.0, 3.0)), (0.5, 9.0, 1e6)):
-        policy = ModelPriorPolicy(variant=variant,
-                                  baseline=Baseline.dimension(-0.3))
-        models, targets = _subset_log_targets(data, policy, c2, alpha, lam)
-        sweep = gprior_sweep(stats, [c2], policy, alpha, lam)
-        assert list(models) == list(sweep.models)
-        assert np.array_equal(targets, sweep.log_weights[0])
-
-
 @pytest.mark.parametrize("change", ["rescaled", "shifted"])
 def test_gprior_targets_invariant_to_affine_column_changes(change):
     # With the intercept in every model, the g-prior weights and
@@ -425,10 +410,12 @@ def test_gprior_targets_invariant_to_affine_column_changes(change):
         moved[:, 1] += 1e4
     for variant, (alpha, lam) in itertools.product(
             POLICY_VARIANTS, ((0.0, 0.0), (2.0, 3.0))):
-        args = (ModelPriorPolicy(variant=variant), 9.0, alpha, lam)
-        _, expected = _subset_log_targets(data, *args)
-        _, got = _subset_log_targets(LinearDataset(y=data.y, X=moved), *args)
-        assert np.max(np.abs(got - expected)) <= 1e-10
+        args = ([9.0], ModelPriorPolicy(variant=variant), alpha, lam)
+        expected = gprior_sweep(all_subsets_stats(data), *args)
+        got = gprior_sweep(
+            all_subsets_stats(LinearDataset(y=data.y, X=moved)), *args)
+        assert np.max(np.abs(got.log_weights[0]
+                             - expected.log_weights[0])) <= 1e-10
 
 
 @pytest.mark.parametrize("column", ["constant", "duplicate"])
