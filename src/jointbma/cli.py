@@ -320,7 +320,11 @@ def _term_block_priors(cfg, load):
 
 
 def _cmd_rjmcmc(cfg):
-    policy = cfg.policies[0]
+    policy, *rest = cfg.policies
+    if rest:
+        raise ParseError(
+            "rjmcmc samples under one model prior; [policy] variants lists "
+            f"{len(cfg.policies)}")
     sampler = SamplerConfig(iterations=cfg.rjmcmc.iterations,
                             burn_in=cfg.rjmcmc.burn_in,
                             thin=cfg.rjmcmc.thin,

@@ -90,6 +90,9 @@ class LinearDataset:
             raise ContractError("need at least one observation")
         if not np.all(np.isfinite(y)) or not np.all(np.isfinite(X)):
             raise ContractError("data contain non-finite values")
+        with np.errstate(over="ignore"):
+            if not np.isfinite((np.column_stack([X, y]) ** 2).sum(0)).all():
+                raise NumericalDomainError("data sums of squares overflow")
         labels = tuple(str(name) for name in self.labels)
         if labels and len(labels) != X.shape[1]:
             raise ContractError(
@@ -542,16 +545,15 @@ def _identity_log_targets(data, policy, c2, alpha=0.0, lam=0.0):
     models = LinearSubsets(data.p, intercept=True)
     log_w = policy.baseline._log_p_all(models)
     info = policy.variant in ("adjusted_info", "loglinear_adjusted")
-    # Each subset's [A b; b' y'y] is one gather from the Gram matrix of
-    # [1 X y], with V^{-1} added to A; its last pivot is s.
+    # M = [A b; b' 2y'y] factors to [L 0; z' sqrt(y'y + s)], z = L^{-1}b.
     Zy = np.hstack([np.ones((n, 1)), data.X, data.y[:, None]])
     gram = Zy.T @ Zy
+    gram[-1, -1] = 2.0 * yty
     what = "posterior precision"
     ld_g, ld_a, s = (np.zeros(len(models)) for _ in range(3))
     for k, rows, idx in models.blocks():
         d = k + 1
-        cols = np.pad(idx + 1, ((0, 0), (1, 1)),
-                      constant_values=(0, data.p + 1))
+        cols = np.pad(idx + 1, ((0, 0), (1, 1)), constant_values=(0, -1))
         M = gram[cols[:, :, None], cols[:, None, :]]
         A = M[:, :d, :d]
         if info:
@@ -560,14 +562,11 @@ def _identity_log_targets(data, policy, c2, alpha=0.0, lam=0.0):
         A += np.eye(d) / c2
         try:
             LM = np.linalg.cholesky(M)
-            L, pivot2 = check_factor(LM[:, :d, :d], what), LM[:, d, d] ** 2
         except np.linalg.LinAlgError:
-            # s <= 0 in rounding, or an A that chol_factor rejects.
-            L = chol_factor(A, what)
-            z = np.linalg.solve(L, M[:, :d, d:])[:, :, 0]
-            pivot2 = M[:, d, d] - np.einsum("ij,ij->i", z, z)
-        ld_a[rows] = factor_logdet(L)
-        s[rows] = pivot2
+            chol_factor(A, what)  # only A can fail; this raises
+            raise
+        ld_a[rows] = factor_logdet(check_factor(LM[:, :d, :d], what))
+        s[rows] = yty - (LM[:, d, :d] ** 2).sum(axis=1)
 
     d = models.d
     ld_v = d * log(c2)

@@ -18,8 +18,8 @@ import math
 
 import numpy as np
 
-from ._linalg import chol_factor, chol_logdet, chol_solve, factor_logdet, \
-    inv_factor
+from ._linalg import chol_factor, chol_logdet, factor_logdet, inv_factor, \
+    inv_pd
 from .exceptions import ContractError, NumericalDomainError, \
     SpecificationError
 
@@ -180,10 +180,8 @@ def gprior_base(X, n=None):
     n = float(n)
     if not (n > 0.0):
         raise ContractError(f"sample size must be positive, got {n}")
-    L = chol_factor(X.T @ X, "X'X")
-    inv = chol_solve(L, np.eye(X.shape[1]))
-    inv = 0.5 * (inv + inv.T)
-    return n * inv
+    inv = inv_pd(X.T @ X, "X'X")
+    return n * (0.5 * (inv + inv.T))
 
 
 @dataclass(frozen=True)
@@ -210,8 +208,7 @@ class TermBlock:
         if gram.shape != (self.size, self.size):
             raise ContractError(
                 f"block gram shape {gram.shape} does not match size {self.size}")
-        inv = chol_solve(chol_factor(gram, "block gram matrix"),
-                         np.eye(self.size))
+        inv = inv_pd(gram, "block gram matrix")
         return self.scale2 * 0.5 * (inv + inv.T)
 
     def mean_vector(self):

@@ -21,7 +21,8 @@ import jointbma
 from jointbma import LinearDataset
 from jointbma._linalg import log_sum_exp
 from jointbma.cli import _top_positions, main
-from jointbma.datasets import load_linear_csv, write_linear_csv
+from jointbma.datasets import load_linear_csv, simulate_nott_kohn, \
+    write_linear_csv
 from jointbma.exceptions import ConvergenceError, JointBmaError, \
     NumericalDomainError
 from jointbma.glm_laplace import term_block_prior, unit_info_for_model
@@ -228,6 +229,19 @@ def test_simulate_roundtrip_through_cv(tmp_path, capsys):
     assert prov["p"] == "2"
     assert len(rows) == 1
     assert np.isfinite(float(rows[0][2]))
+
+
+def test_simulate_nott_kohn_emits_the_generator_data(tmp_path, capsys):
+    cfg = write_config(tmp_path, (
+        "[experiment]\ntask = simulate\nseed = 5\n\n"
+        "[data]\nsource = generator\ngenerator = nott_kohn\n"))
+    assert main(["simulate", "--config", cfg]) == 0
+    prov, header, rows = read_csv_output(capsys.readouterr().out)
+    assert prov["generator"] == "nott_kohn"
+    assert header == ["y"] + [f"x{j}" for j in range(1, 16)]
+    data = simulate_nott_kohn(5)
+    assert np.array_equal(np.array(rows, dtype=float),
+                          np.column_stack([data.y, data.X]))
 
 
 def test_cv_gelfand_runs_with_seed(tmp_path, capsys):
@@ -504,9 +518,7 @@ def test_rjmcmc_gprior_targets_equal_sweep_bit_for_bit(tmp_path,
 
 def test_rjmcmc_subset_targets_match_per_model_route_at_perfect_fit():
     # s is zero up to rounding on the per-model route; a proper sigma^2
-    # prior keeps every marginal defined on both routes. The identity
-    # route's case is test_identity_targets_match_per_model_route_past_a_
-    # failed_factor.
+    # prior keeps every marginal defined on both routes.
     rng = np.random.Generator(np.random.Philox(4))
     X = rng.standard_normal((40, 4))
     data = LinearDataset(y=1.0 + 2.0 * X[:, 0], X=X)
@@ -520,9 +532,9 @@ def test_rjmcmc_subset_targets_match_per_model_route_at_perfect_fit():
 def test_identity_targets_match_per_model_route_past_a_failed_factor(
         monkeypatch):
     # An exact fit y = 1 + 2 x1 - x3 at a huge c^2: s is zero up to
-    # rounding on the subsets holding x1 and x3, so their batch's
-    # augmented factor fails and the identity route factors A alone,
-    # taking s from the Schur complement.
+    # rounding on the subsets holding x1 and x3. Factoring [A b; b' 2y'y]
+    # keeps the last pivot at y'y + s, so the batch factor does not fail
+    # there and A is never factored on its own.
     rng = np.random.Generator(np.random.Philox(4))
     X = rng.standard_normal((20, 3))
     data = LinearDataset(y=1.0 + 2.0 * X[:, 0] - X[:, 2], X=X)
@@ -534,16 +546,31 @@ def test_identity_targets_match_per_model_route_past_a_failed_factor(
         return real(a, what, *args)
 
     monkeypatch.setattr(jointbma.linear_exact, "chol_factor", spy)
-    fell_back = 0
     for c2, variant in itertools.product((1e16, 1e20), POLICY_VARIANTS):
         args = (data, ModelPriorPolicy(variant=variant), c2, 2.0, 3.0)
         _, oracle = per_model_log_targets(*args, "identity")
         factored.clear()
         _, targets = _identity_log_targets(*args)
-        # Only the fallback factors A by chol_factor.
-        fell_back += "posterior precision" in factored
+        assert "posterior precision" not in factored
         assert np.max(np.abs(targets - oracle)) <= 1e-12
-    assert fell_back
+
+
+def test_identity_targets_reject_singular_designs_as_per_model_route():
+    # A column copied from, or combined of, others leaves A singular but
+    # for I/c^2. Whichever factor rounding fails, the augmented one or
+    # A's own, both routes raise on the posterior precision.
+    for seed, c2, combined in itertools.product(range(6), (1e12, 1e16, 1e20),
+                                                (False, True)):
+        rng = np.random.Generator(np.random.Philox(seed))
+        X = rng.standard_normal((20, 3))
+        X[:, 2] = 3.0 * X[:, 0] - X[:, 1] if combined else X[:, 0]
+        data = LinearDataset(y=1.0 + X[:, 0] + rng.standard_normal(20), X=X)
+        args = (data, ModelPriorPolicy(variant="uniform"), c2, 0.0, 0.0)
+        with pytest.raises(NumericalDomainError,
+                           match="^posterior precision is"):
+            _identity_log_targets(*args)
+        assert outcome(per_model_log_targets, *args, "identity")[0] \
+            is NumericalDomainError
 
 
 @pytest.mark.parametrize("variant,c2,sigma2", [
@@ -1025,6 +1052,14 @@ TWO_BY_TWO = "\n[space]\nfactors = A:2, B:2\nforced = 1, A, B\n"
      "prior-probs uses per-term priors"),
     ("rjmcmc", "[prior]\ntemplate = gprior\n" + TWO_BY_TWO,
      "rjmcmc uses per-term priors"),
+    ("cv", "[cv]\ncovariates = 1, 3\n",
+     "[cv] covariates reference column 3 but the data have p=2"),
+    ("shrinkage", "[shrinkage]\nn = 50\n",
+     "[shrinkage] inv_c2_grid is required"),
+    ("prior-probs", TERM_BLOCKS + "scale = 9\n",
+     "prior-probs needs a [space] section"),
+    ("rjmcmc", "[policy]\nvariants = uniform, adjusted_c\n",
+     "rjmcmc samples under one model prior; [policy] variants lists 2"),
 ], ids=["cv-covariate-float", "cv-covariate-text", "cv-covariate-repeated",
         "calibrated-n0-nan",
         "calibrated-psi0-inf", "shrinkage-n-inf", "shrinkage-sigma2-inf",
@@ -1035,7 +1070,9 @@ TWO_BY_TWO = "\n[space]\nfactors = A:2, B:2\nforced = 1, A, B\n"
         "prior-probs-scale-overflow", "prior-probs-mean-text",
         "sweep-template-identity", "cv-template-identity",
         "linear-rjmcmc-template-term-blocks", "prior-probs-template-gprior",
-        "table-rjmcmc-template-gprior"])
+        "table-rjmcmc-template-gprior", "cv-covariate-past-p",
+        "shrinkage-grid-missing", "prior-probs-space-missing",
+        "linear-rjmcmc-two-variants"])
 def test_malformed_or_non_finite_key_exits_2(tmp_path, capsys, task,
                                              section, message):
     data_path = str(tmp_path / "d.csv")
@@ -1102,6 +1139,74 @@ def test_c2_and_sigma2_prior_at_the_float_range_ends(tmp_path, capsys, task,
     lines = captured.err.splitlines()
     prefix = "error: " if code == 2 else "numerical error: "
     assert len(lines) == 1 and lines[0].startswith(prefix)
+    assert message in lines[0]
+
+
+@pytest.mark.parametrize("task, template", [
+    ("sweep", "gprior"), ("cv", "gprior"), ("rjmcmc", "gprior"),
+    ("rjmcmc", "identity")])
+@pytest.mark.parametrize("column", ["y", "x2"])
+def test_data_whose_sums_of_squares_overflow_exit_3(tmp_path, capsys, task,
+                                                    template, column):
+    # y = 1.5e153 (1 + x1 + e) makes y'y overflow; so does x2 scaled by
+    # 1e155. Either is one error line, never a numpy warning or nan.
+    rng = np.random.Generator(np.random.Philox(1))
+    X = rng.standard_normal((30, 3))
+    y = 1.0 + X[:, 0] + rng.standard_normal(30)
+    if column == "y":
+        y *= 1.5e153
+    else:
+        X[:, 1] *= 1e155
+    data_path = tmp_path / "d.csv"
+    data_path.write_text("y,x1,x2,x3\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n"
+        for row in np.column_stack([y, X])), encoding="utf-8")
+    cfg = write_config(tmp_path, (
+        f"[experiment]\ntask = {task}\nseed = 3\n\n"
+        f"[data]\nsource = csv\npath = {data_path}\n\n"
+        f"[prior]\ntemplate = {template}\nc2 = 9\nc2_grid = 1,100,3\n\n"
+        "[rjmcmc]\niterations = 200\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([task, "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "numerical error: data sums of squares overflow\n"
+
+
+TABLE_DATA = "[data]\nsource = csv\npath = {table}\n"
+TABLE_LEVELS = "levels.A = a1, a2\nlevels.B = b1, b2\n"
+
+
+@pytest.mark.parametrize("task, text, message", [
+    ("simulate", "[data]\nsource = generator\n",
+     "[data] generator is required when source=generator"),
+    ("simulate", "[data]\nsource = csv\n",
+     "[data] path is required when source=csv"),
+    ("simulate", "", "task 'simulate' needs a [data] section"),
+    ("rjmcmc", "[data]\nsource = generator\ngenerator = dfn\n\n"
+     + TERM_BLOCKS + TWO_BY_TWO,
+     "contingency-table tasks read counts from a CSV"),
+    ("rjmcmc", TABLE_DATA + "\n" + TERM_BLOCKS + TWO_BY_TWO,
+     "[data] needs levels.<factor> label lists"),
+    ("rjmcmc", TABLE_DATA + TABLE_LEVELS + "\n" + TERM_BLOCKS + TWO_BY_TWO
+     + "\n[policy]\nvariants = adjusted_info, uniform, adjusted_c\n",
+     "rjmcmc samples under one model prior; [policy] variants lists 3"),
+], ids=["generator-missing", "csv-path-missing", "data-source-missing",
+        "table-from-generator", "table-levels-missing",
+        "table-rjmcmc-three-variants"])
+def test_data_source_checks_exit_2(tmp_path, capsys, task, text, message):
+    table = tmp_path / "table.csv"
+    table.write_text("A,B,count\na1,b1,12\na1,b2,7\na2,b1,9\na2,b2,15\n",
+                     encoding="utf-8")
+    cfg = write_config(tmp_path, f"[experiment]\ntask = {task}\nseed = 1\n\n"
+                       + text.format(table=table))
+    assert main([task, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
     assert message in lines[0]
 
 

@@ -552,7 +552,7 @@ def test_table_priors_factor_each_term_block_once(monkeypatch):
     # factors one block gram matrix per distinct term over the whole
     # space, and every prior equals the one built on the bare FactorSpec.
     table, models, spec_priors = three_way_table()
-    real = param_priors.chol_factor
+    real = param_priors.inv_pd
     factored = []
 
     def counting(a, what="matrix"):
@@ -560,7 +560,7 @@ def test_table_priors_factor_each_term_block_once(monkeypatch):
             factored.append(a.shape[0])
         return real(a, what)
 
-    monkeypatch.setattr(param_priors, "chol_factor", counting)
+    monkeypatch.setattr(param_priors, "inv_pd", counting)
     shared = {m: term_block_prior(table, m, scales=2.0) for m in models}
     # (), A, B, C, A*B, A*C and B*C.
     assert len({t for m in models for t in m.members}) == len(factored) == 7
