@@ -86,17 +86,12 @@ def factor_logdet(L):
 
 def chol_solve(L, b):
     """Solve A x = b given the lower Cholesky factor L of A."""
-    if L.shape[0] == 0:
-        return np.zeros_like(np.asarray(b, dtype=float))
     y = np.linalg.solve(L, b)
     return np.linalg.solve(L.T, y)
 
 
 def quad_form(L, x):
     """x' A^{-1} x given the lower Cholesky factor L of A."""
-    x = np.asarray(x, dtype=float)
-    if L.shape[0] == 0:
-        return 0.0
     z = np.linalg.solve(L, x)
     return float(z @ z)
 
@@ -111,8 +106,6 @@ def inv_factor(L):
 def inv_pd(a, what="matrix"):
     """Inverse of a symmetric positive definite matrix via its factor."""
     L = chol_factor(a, what)
-    if L.shape[0] == 0:
-        return np.zeros((0, 0))
     return chol_solve(L, np.eye(L.shape[0]))
 
 

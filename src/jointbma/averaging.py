@@ -106,7 +106,8 @@ class ModelPosterior:
         return self.models[int(np.argmax(self.log_probs))]
 
     def top(self, k=10):
-        order = np.argsort(self.log_probs)[::-1][:k]
+        """(model, probability) of the k most probable; ties in model order."""
+        order = np.argsort(-self.log_probs, kind="stable")[:k]
         return [(self.models[i], math.exp(self.log_probs[i])) for i in order]
 
 

@@ -39,8 +39,8 @@ from .rj_sampler import SamplerConfig, _policy_weights, \
 
 __all__ = ["ResultTable", "run_sweep", "main"]
 
-# Enumerated CLI routes build a prior and a marginal for every subset;
-# past this many covariates that work belongs to the sampler.
+# Enumerated routes score all 2^p subsets, and cv also fits a prior and n
+# leave-one-out updates to each; past these caps that is the sampler's work.
 MAX_CLI_ENUM = 15
 MAX_CLI_CV = 12
 
@@ -331,6 +331,9 @@ def _cmd_rjmcmc(cfg):
                             seed=cfg.seed,
                             jump_prob=cfg.rjmcmc.jump_prob,
                             within_model_scale=cfg.rjmcmc.within_scale)
+    if len(range(sampler.burn_in, sampler.iterations, sampler.thin)) < 4:
+        raise ParseError("[rjmcmc] keeps fewer than 4 draws after burn_in and "
+                         "thin; batch-means standard errors need 4")
     if cfg.space is not None:
         table, models, priors = _term_block_priors(cfg, _load_table)
         chain = rjmcmc_run(models, priors, policy, table, sampler)
@@ -357,8 +360,9 @@ def _cmd_rjmcmc(cfg):
     for pos in np.argsort(-est.probs, kind="stable"):
         if est.probs[pos] <= 0.0:
             continue
-        rows.append((est.models[pos].label(), int(est.models[pos].d),
-                     float(est.probs[pos]), float(est.se[pos])))
+        m = est.models[pos]
+        rows.append((m.label(), int(m.d), float(est.probs[pos]),
+                     float(est.se[pos])))
     return ResultTable(
         columns=("model", "dimension", "prob", "se"),
         rows=rows,

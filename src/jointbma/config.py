@@ -108,8 +108,6 @@ def _grid(raw):
     low, high, count = float(parts[0]), float(parts[1]), int(parts[2])
     if not (0.0 < low <= high < np.inf) or count < 1:
         raise ValueError("grid needs 0 < low <= high < inf and count >= 1")
-    if count == 1:
-        return np.array([low])
     return np.geomspace(low, high, count)
 
 

@@ -134,14 +134,11 @@ def build_design(spec, m, grid=None):
     ranges = []
     at = 0
     for term in m.members:
-        if not term:
-            block = np.ones((n, 1))
-        else:
-            block = np.ones((n, 1))
-            for name in term:
-                codes = _factor_codes(spec.levels[name])
-                coded = codes[grid[:, name_pos[name]]]
-                block = np.einsum("ni,nj->nij", block, coded).reshape(n, -1)
+        block = np.ones((n, 1))
+        for name in term:
+            codes = _factor_codes(spec.levels[name])
+            coded = codes[grid[:, name_pos[name]]]
+            block = np.einsum("ni,nj->nij", block, coded).reshape(n, -1)
         cols.append(block)
         ranges.append((term, at, at + block.shape[1]))
         at += block.shape[1]
@@ -236,12 +233,12 @@ class GlmFit:
     kind: str
 
 
-def _newton(model, start, tol, max_iter, v_inv=None, mu=None, kind="mle"):
-    """Damped Newton ascent of the log-likelihood, optionally penalized
-    by a Gaussian prior (v_inv, mu). The objective is concave for both
+def _newton(model, start, tol, max_iter, v_inv=None, mu=None):
+    """Damped Newton ascent of the log-likelihood (MLE), or penalized by
+    a Gaussian prior (v_inv, mu; MAP). The objective is concave for both
     likelihood classes here, so step halving is only rounding insurance."""
     beta = np.asarray(start, dtype=float).copy()
-    d = beta.shape[0]
+    kind = "mle" if v_inv is None else "map"
 
     def objective(b):
         val = model.loglik(b)
@@ -256,13 +253,17 @@ def _newton(model, start, tol, max_iter, v_inv=None, mu=None, kind="mle"):
             g = g - v_inv @ (b - mu)
         return g
 
-    value = objective(beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = objective(beta)  # a MAP fit starts at the prior mean
+    if not math.isfinite(value):
+        raise NumericalDomainError(
+            "the log-likelihood is not finite at the Newton start")
+    if beta.shape[0] == 0:
+        return GlmFit(beta=beta, value=value, grad_norm=0.0, iterations=0,
+                      kind=kind)
     for it in range(1, max_iter + 1):
         g = gradient(beta)
-        gnorm = float(np.max(np.abs(g))) if d else 0.0
-        if d == 0:
-            return GlmFit(beta=beta, value=value, grad_norm=gnorm,
-                          iterations=it - 1, kind=kind)
+        gnorm = float(np.max(np.abs(g)))
         if kind == "mle" and model.domain_bound is not None:
             # Boundary drift: fitted means this small cannot occur at an
             # interior optimum with counts on any realistic scale, and the
@@ -320,7 +321,7 @@ def fit_mle_poisson(X, y, tol=1e-8, max_iter=100):
     run past the domain bound stop with DegenerateDataError instead of
     chasing a maximum at infinity."""
     model = PoissonLogLinear(X, y)
-    return _newton(model, np.zeros(model.dim), tol, max_iter, kind="mle")
+    return _newton(model, np.zeros(model.dim), tol, max_iter)
 
 
 def _map_laplace(model, prior, L_V, tol=1e-8, max_iter=100):
@@ -331,7 +332,7 @@ def _map_laplace(model, prior, L_V, tol=1e-8, max_iter=100):
     if not np.all(np.isfinite(v_inv)):
         raise NumericalDomainError("prior variance V has no finite inverse")
     fit = _newton(model, prior.mu.copy(), tol, max_iter,
-                  v_inv=v_inv, mu=prior.mu, kind="map")
+                  v_inv=v_inv, mu=prior.mu)
     curvature = model.neg_hessian(fit.beta) + v_inv
     return fit, chol_factor(curvature, "Laplace curvature")
 
@@ -365,7 +366,7 @@ def log_marginal_laplace_model(model, prior, variant="at_map",
         fit, L = _map_laplace(model, prior, Lv, tol, max_iter)
         method = "laplace_penalized"
     else:
-        fit = _newton(model, np.zeros(model.dim), tol, max_iter, kind="mle")
+        fit = _newton(model, np.zeros(model.dim), tol, max_iter)
         L = chol_factor(model.neg_hessian(fit.beta), "Laplace curvature")
         method = "laplace"
     quad = quad_form(Lv, fit.beta - prior.mu)

@@ -279,11 +279,8 @@ def sample_joint_posterior(data, m, prior, size, rng):
     post = posterior_moments(data, m, prior)
     tau = rng.gamma(shape=post.a_post, scale=1.0 / post.lambda_post, size=size)
     sigma2 = 1.0 / tau
-    d = post.beta_tilde.shape[0]
-    if d == 0:
-        return np.zeros((size, 0)), sigma2
     L = chol_factor(post.Vstar, "posterior variance Vstar")
-    z = rng.standard_normal((size, d))
+    z = rng.standard_normal((size, post.beta_tilde.shape[0]))
     beta = post.beta_tilde + (z @ L.T) * np.sqrt(sigma2)[:, None]
     return beta, sigma2
 
@@ -360,7 +357,7 @@ def loo_log_predictives(models, data, priors, mode="exact", rng=None,
             Xm = linear_design(data.X, m)
             # -log N(y_j | mean_tj, sigma2_t) for every draw and column,
             # formed in place in the buffer of the means.
-            nld = beta @ Xm.T if Xm.shape[1] else np.zeros((num_draws, n))
+            nld = beta @ Xm.T
             np.subtract(data.y, nld, out=nld)
             nld *= nld
             nld /= sigma2[:, None]
@@ -426,9 +423,7 @@ def _centered_r2(data, blocks, size):
     chol_factor(G / np.outer(norm, norm), "covariate correlation matrix")
 
     r2 = np.zeros(size)
-    for k, rows, idx in blocks:
-        if k == 0:
-            continue
+    for _, rows, idx in blocks:
         gsub = g[idx]
         # Explicit trailing axis keeps the solve a batched vector solve.
         coef = np.linalg.solve(G[idx[:, :, None], idx[:, None, :]],
@@ -545,10 +540,11 @@ def _identity_log_targets(data, policy, c2, alpha=0.0, lam=0.0):
     models = LinearSubsets(data.p, intercept=True)
     log_w = policy.baseline._log_p_all(models)
     info = policy.variant in ("adjusted_info", "loglinear_adjusted")
-    # M = [A b; b' 2y'y] factors to [L 0; z' sqrt(y'y + s)], z = L^{-1}b.
+    # M = [A b; b' 2y'y + 1] factors to [L 0; z' sqrt(y'y + s + 1)], with
+    # z = L^{-1}b, so only A can fail it, at any fit and at y = 0.
     Zy = np.hstack([np.ones((n, 1)), data.X, data.y[:, None]])
     gram = Zy.T @ Zy
-    gram[-1, -1] = 2.0 * yty
+    gram[-1, -1] = 2.0 * yty + 1.0
     what = "posterior precision"
     ld_g, ld_a, s = (np.zeros(len(models)) for _ in range(3))
     for k, rows, idx in models.blocks():
@@ -562,9 +558,9 @@ def _identity_log_targets(data, policy, c2, alpha=0.0, lam=0.0):
         A += np.eye(d) / c2
         try:
             LM = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            chol_factor(A, what)  # only A can fail; this raises
-            raise
+        except np.linalg.LinAlgError as exc:
+            raise NumericalDomainError(
+                f"{what} is not positive definite") from exc
         ld_a[rows] = factor_logdet(check_factor(LM[:, :d, :d], what))
         s[rows] = yty - (LM[:, d, :d] ** 2).sum(axis=1)
 

@@ -25,7 +25,8 @@ import math
 import numpy as np
 
 from ._linalg import chol_factor, chol_logdet, chol_solve, factor_logdet
-from .exceptions import CapacityError, ContractError, SpecificationError
+from .exceptions import CapacityError, ContractError, NumericalDomainError, \
+    SpecificationError
 
 __all__ = [
     "ModelId",
@@ -179,8 +180,6 @@ class FactorSpec:
         return (len(term), tuple(order[n] for n in term))
 
     def term_dimension(self, term):
-        if not term:
-            return 1
         levels = self.levels
         out = 1
         for name in term:
@@ -405,16 +404,24 @@ class Baseline:
 
     def _log_p_all(self, models):
         """log p over a LinearSubsets space, or of one model: one evaluation
-        over models.d, or model by model for a table."""
-        if self.kind == "constant":
-            return models.d * 0.0
-        if self.kind == "dimension":
-            return models.d * self.log_weight
-        if self.kind == "calibrated":
-            return calibrate_p(models.d, self.n0, self.psi0)
+        over models.d, or model by model for a table. A rule that
+        overflows at some d of the space is a NumericalDomainError."""
         if self.kind == "table":
             return np.array([self.log_p(m) for m in models])
-        raise SpecificationError(f"unknown baseline kind {self.kind!r}")
+        with np.errstate(over="ignore"):
+            if self.kind == "constant":
+                log_p = models.d * 0.0
+            elif self.kind == "dimension":
+                log_p = models.d * self.log_weight
+            elif self.kind == "calibrated":
+                log_p = calibrate_p(models.d, self.n0, self.psi0)
+            else:
+                raise SpecificationError(f"unknown baseline kind {self.kind!r}")
+        if not np.all(np.isfinite(log_p)):
+            raise NumericalDomainError(
+                f"the {self.kind} baseline's log p(m) overflows at "
+                f"d = {np.max(models.d)}")
+        return log_p
 
     @cached_property
     def _table_index(self):
@@ -469,8 +476,6 @@ def log_prior_model_weight(m, policy, prior=None, info=None):
         return lp + m.d * 0.5 * math.log(prior.c2)
     if info is None:
         raise ContractError(f"policy {variant!r} requires an information source")
-    if m.d == 0:
-        return lp
     L_V = chol_factor(prior.variance(), "prior variance V")
     ld_v = factor_logdet(L_V)
     if variant in ("adjusted_info", "loglinear_adjusted"):

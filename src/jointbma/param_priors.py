@@ -97,10 +97,9 @@ class ParamPrior:
                 f"sigma_base shape {sigma.shape} does not match mu length {d}")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
             raise ContractError("mu and sigma_base must be finite")
-        if d > 0:
-            if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-10):
-                raise ContractError("sigma_base must be symmetric")
-            chol_factor(sigma, "sigma_base")
+        if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-10):
+            raise ContractError("sigma_base must be symmetric")
+        chol_factor(sigma, "sigma_base")
         c2 = _check_c2(self.c2)
         # variance() forms c2 * sigma_base on every call; check it once.
         if d > 0 and not math.isfinite(c2 * float(np.abs(sigma).max())):

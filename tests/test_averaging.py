@@ -38,6 +38,24 @@ def test_normalize_posterior_basics():
     assert three.map_model() == m[0]
 
 
+def test_top_is_a_stable_descending_argsort():
+    # Largest probability first and model order among ties; numpy's
+    # default argsort does not keep ties in order.
+    m = [ModelId.linear(range(j)) for j in range(40)]
+    log_probs = np.log(np.tile([0.02, 0.03, 0.01, 0.04], 10))
+    post = ModelPosterior(models=m, log_probs=log_probs, convention="proper")
+    for k in (1, 5, 40):
+        order = np.argsort(-log_probs, kind="stable")[:k]
+        assert post.top(k) == [(m[i], math.exp(log_probs[i]))
+                               for i in order]
+    space = LinearSubsets(5)
+    rng = np.random.default_rng(81)
+    lazy = ModelPosterior(models=space, log_probs=rng.standard_normal(32),
+                          convention="proper")
+    assert [m for m, _ in lazy.top(4)] == [
+        space[i] for i in np.argsort(-lazy.log_probs, kind="stable")[:4]]
+
+
 def test_normalize_posterior_preserves_ratios():
     rng = np.random.default_rng(80)
     m = [ModelId.linear([j]) for j in range(6)]

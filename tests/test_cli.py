@@ -23,8 +23,8 @@ from jointbma._linalg import log_sum_exp
 from jointbma.cli import _top_positions, main
 from jointbma.datasets import load_linear_csv, simulate_nott_kohn, \
     write_linear_csv
-from jointbma.exceptions import ConvergenceError, JointBmaError, \
-    NumericalDomainError
+from jointbma.exceptions import ConvergenceError, DegenerateDataError, \
+    JointBmaError, NumericalDomainError
 from jointbma.glm_laplace import term_block_prior, unit_info_for_model
 from jointbma.linear_exact import _identity_log_targets, \
     all_subsets_stats, gprior_sweep, log_marginal_nig
@@ -573,6 +573,55 @@ def test_identity_targets_reject_singular_designs_as_per_model_route():
             is NumericalDomainError
 
 
+def test_identity_targets_report_a_failed_batch_factor_on_the_precision(
+        monkeypatch):
+    # The last pivot of [A b; b' 2y'y + 1] is real at any fit, so a
+    # failed batch factor is A's: it raises chol_factor's text for A,
+    # from the LinAlgError, whichever pivot rounding failed.
+    real = np.linalg.cholesky
+
+    def failing(a):
+        if a.ndim == 3:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    args = (small_dataset(), ModelPriorPolicy(variant="uniform"), 9.0)
+    with pytest.raises(NumericalDomainError,
+                       match="^posterior precision is not positive "
+                             "definite$") as exc:
+        _identity_log_targets(*args)
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_identity_targets_at_a_zero_response(tmp_path, capsys):
+    # y = 0 makes y'y + s zero, yet the augmented factor's last pivot
+    # stays real: a proper sigma^2 prior gives the per-model route's
+    # targets, and the improper one its perfect-fit error, as rjmcmc's
+    # exits 0 and 3 show.
+    X = small_dataset().X
+    data = LinearDataset(y=np.zeros(X.shape[0]), X=X)
+    for variant in POLICY_VARIANTS:
+        args = (data, ModelPriorPolicy(variant=variant), 9.0, 2.0, 3.0)
+        _, targets = _identity_log_targets(*args)
+        _, oracle = per_model_log_targets(*args, "identity")
+        assert np.max(np.abs(targets - oracle)) <= 1e-12
+        improper = (data, ModelPriorPolicy(variant=variant), 9.0)
+        assert outcome(_identity_log_targets, *improper)[0] \
+            is DegenerateDataError
+        assert outcome(per_model_log_targets, *improper, 0.0, 0.0,
+                       "identity")[0] is DegenerateDataError
+    data_path = str(tmp_path / "zero.csv")
+    write_linear_csv(data, data_path)
+    for sigma2, code in (("alpha = 2\nlambda = 3\n", 0), ("", 3)):
+        cfg = rjmcmc_config(tmp_path, data_path, variant="uniform",
+                            template="identity", sigma2=sigma2,
+                            iterations=200)
+        assert main(["rjmcmc", "--config", cfg]) == code
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == (code != 0)
+
+
 @pytest.mark.parametrize("variant,c2,sigma2", [
     ("adjusted_info", "1e4", ""),
     ("uniform", "0.5", "alpha = 2\nlambda = 3\n"),
@@ -1060,6 +1109,8 @@ TWO_BY_TWO = "\n[space]\nfactors = A:2, B:2\nforced = 1, A, B\n"
      "prior-probs needs a [space] section"),
     ("rjmcmc", "[policy]\nvariants = uniform, adjusted_c\n",
      "rjmcmc samples under one model prior; [policy] variants lists 2"),
+    ("rjmcmc", "[rjmcmc]\niterations = 300\nburn_in = 298\n",
+     "[rjmcmc] keeps fewer than 4 draws after burn_in and thin"),
 ], ids=["cv-covariate-float", "cv-covariate-text", "cv-covariate-repeated",
         "calibrated-n0-nan",
         "calibrated-psi0-inf", "shrinkage-n-inf", "shrinkage-sigma2-inf",
@@ -1072,7 +1123,7 @@ TWO_BY_TWO = "\n[space]\nfactors = A:2, B:2\nforced = 1, A, B\n"
         "linear-rjmcmc-template-term-blocks", "prior-probs-template-gprior",
         "table-rjmcmc-template-gprior", "cv-covariate-past-p",
         "shrinkage-grid-missing", "prior-probs-space-missing",
-        "linear-rjmcmc-two-variants"])
+        "linear-rjmcmc-two-variants", "rjmcmc-keeps-too-few-draws"])
 def test_malformed_or_non_finite_key_exits_2(tmp_path, capsys, task,
                                              section, message):
     data_path = str(tmp_path / "d.csv")
@@ -1218,6 +1269,9 @@ EDGE_SHRINKAGE = "[shrinkage]\n{setting}\ninv_c2_grid = 1e-4,1e-2,9\n"
 EDGE_SWEEP = ("[data]\nsource = csv\npath = {data}\n\n[prior]\n"
               "template = gprior\nc2_grid = 1,100,3\n{setting}\n\n"
               "[policy]\nvariants = uniform\n")
+EDGE_BASELINE = ("[data]\nsource = csv\npath = {data}\n\n[prior]\n"
+                 "c2_grid = 1,100,3\n" + TWO_BY_TWO + "candidates = A*B\n\n"
+                 "[policy]\n{setting}\n")
 
 
 @pytest.mark.parametrize("task, template, setting, code", [
@@ -1233,11 +1287,18 @@ EDGE_SWEEP = ("[data]\nsource = csv\npath = {data}\n\n[prior]\n"
     ("shrinkage", EDGE_SHRINKAGE,
      "beta_hat = 1e300\nk_policy = proportional_inverse_c", 0),
     ("sweep", EDGE_SWEEP, "alpha = 1e300\nlambda = 1e300", 0),
+    ("rjmcmc", EDGE_TABLE, "scale = 2\nmetric = identity\nmean.A*B = 1e300",
+     3),
+    ("sweep", EDGE_BASELINE, "baseline = dimension\nlog_weight = 1e308", 3),
+    ("prior-probs", EDGE_BASELINE.replace("[prior]\n", TERM_BLOCKS),
+     "baseline = calibrated\nn0 = 24\npsi0 = 1e308", 3),
 ], ids=["table-scale-huge", "table-scale-tiny", "table-interaction-tiny",
         "table-all-scales-tiny", "table-scale-huge-c2",
         "shrinkage-sigma2-tiny", "shrinkage-n-tiny",
         "shrinkage-beta-hat-1e300", "shrinkage-beta-hat-1e308",
-        "shrinkage-proportional-beta-hat-1e300", "sweep-alpha-lambda-1e300"])
+        "shrinkage-proportional-beta-hat-1e300", "sweep-alpha-lambda-1e300",
+        "table-mean-1e300", "sweep-dimension-baseline-1e308",
+        "prior-probs-calibrated-psi0-1e308"])
 def test_inputs_at_the_float_range_ends_exit_cleanly(tmp_path, capsys, task,
                                                      template, setting, code):
     # Each run either exits 0 with only finite numbers and an empty stderr,

@@ -198,6 +198,12 @@ def test_grid_expansion_edge_cases(tmp_path):
               "[prior]\nc2_grid = 7.5,7.5,1\n")
     cfg = load_config(write(tmp_path, single))
     assert np.array_equal(cfg.prior.c2_grid, np.array([7.5]))
+    # A one-point grid is its low end exactly, whatever the high end.
+    for low, high in (("0.3", "0.7"), ("5e-324", "1e300"), ("3.7", "1e308")):
+        text = ("[experiment]\ntask = sweep\nseed = 1\n\n"
+                f"[prior]\nc2_grid = {low},{high},1\n")
+        cfg = load_config(write(tmp_path, text, name="one.ini"))
+        assert np.array_equal(cfg.prior.c2_grid, np.array([float(low)]))
 
     for bad in ("1,10", "10,1,5", "0,1,5", "1,10,0"):
         text = ("[experiment]\ntask = sweep\nseed = 1\n\n"

@@ -13,11 +13,11 @@ from scipy import integrate
 from scipy.stats import multivariate_normal, poisson
 
 from jointbma.exceptions import ContractError, ConvergenceError, \
-    DegenerateDataError, SpecificationError
+    DegenerateDataError, NumericalDomainError, SpecificationError
 from jointbma.glm_laplace import ContingencyTable, GaussianKnownVar, \
-    PoissonLogLinear, build_design, fit_map_poisson, fit_mle_poisson, \
-    log_marginal_laplace, log_marginal_laplace_model, term_block_prior, \
-    unit_info_for_model
+    PoissonLogLinear, _newton, build_design, fit_map_poisson, \
+    fit_mle_poisson, log_marginal_laplace, log_marginal_laplace_model, \
+    term_block_prior, unit_info_for_model
 from jointbma.model_space import FactorSpec, ModelId
 from jointbma.param_priors import ParamPrior, log_prior_density
 
@@ -53,6 +53,10 @@ def test_design_2x2_hand_oracle(spec22):
     assert np.array_equal(design.X, expected)
     assert design.term_slice(("R", "C")) == slice(3, 4)
     assert np.array_equal(design.term_block(("R",)), expected[:, 1:2])
+    # The intercept term is the empty product of factor codes.
+    null = build_design(spec22, ModelId.loglinear(spec22, [()]))
+    assert np.array_equal(null.X, expected[:, :1])
+    assert null.ranges == (((), 0, 1),)
 
 
 def test_design_sum_to_zero_and_balanced_orthogonality(ohaspec):
@@ -175,6 +179,30 @@ def test_mle_stops_at_the_iteration_cap(spec22):
     assert exc.value.last_iterate.shape == (3,)
 
 
+def test_newton_fit_kind_follows_the_prior(spec22):
+    # A fit without a prior is an MLE, whose divergence checks run; one
+    # with a prior is a MAP fit, which has none and exists on this table.
+    counts = np.array([0.0, 0.0, 9.0, 22.0])
+    X = build_design(spec22, ModelId.loglinear(spec22, [(), ("R",)])).X
+    model = PoissonLogLinear(X, counts)
+    with pytest.raises(DegenerateDataError, match="MLE diverges"):
+        _newton(model, np.zeros(2), 1e-8, 100)
+    fit = _newton(model, np.zeros(2), 1e-8, 100, v_inv=np.eye(2),
+                  mu=np.zeros(2))
+    assert fit.kind == "map" and fit.iterations > 0
+    assert fit_mle_poisson(X, np.array([12.0, 7.0, 9.0, 22.0])).kind == "mle"
+
+
+def test_newton_start_with_an_overflowing_objective_is_a_domain_error():
+    # A MAP fit starts at the prior mean; exp() of its linear predictor
+    # overflows here, so there is no finite objective to ascend from.
+    model = PoissonLogLinear(np.ones((4, 1)), np.array([1.0, 2.0, 3.0, 4.0]))
+    start = np.full(1, 1e300)
+    with pytest.raises(NumericalDomainError, match="not finite at the "
+                                                   "Newton start"):
+        _newton(model, start, 1e-8, 100, v_inv=np.eye(1), mu=start)
+
+
 class Cliff:
     """A likelihood that falls off everywhere but at the origin, so no
     damped Newton step from there raises the objective."""
@@ -283,6 +311,12 @@ def test_laplace_dimension_zero_and_unknown_variant(spec22):
     fit = fit_map_poisson(model.X, model.y, prior)
     assert fit.beta.shape == (0,) and fit.iterations == 0
     assert fit.value == model.loglik(np.zeros(0))
+    # d = 0 is decided before Newton's loop, so even max_iter = 0 returns.
+    for fit, kind in ((fit_mle_poisson(model.X, model.y, max_iter=0), "mle"),
+                      (fit_map_poisson(model.X, model.y, prior, max_iter=0),
+                       "map")):
+        assert (fit.kind, fit.iterations, fit.grad_norm) == (kind, 0, 0.0)
+        assert fit.value == model.loglik(np.zeros(0))
     with pytest.raises(SpecificationError, match="variant"):
         log_marginal_laplace_model(model, prior, variant="mystery")
     # validated upfront, before any dimension-dependent work

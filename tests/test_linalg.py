@@ -33,11 +33,19 @@ def test_chol_logdet_matches_slogdet():
 
 
 def test_zero_dimensional_conventions():
+    # The solves take no branch of their own at d = 0: numpy's empty
+    # solve gives the empty answer, and the empty quadratic form is 0.
     empty = np.zeros((0, 0))
-    assert chol_factor(empty).shape == (0, 0)
+    L = chol_factor(empty)
+    assert L.shape == (0, 0)
     assert chol_logdet(empty) == 0.0
-    assert quad_form(chol_factor(empty), np.zeros(0)) == 0.0
-    assert inv_pd(empty).shape == (0, 0)
+    q = quad_form(L, np.zeros(0))
+    assert q == 0.0 and type(q) is float
+    for b in (np.zeros(0), np.zeros((0, 3))):
+        x = chol_solve(L, b)
+        assert x.shape == b.shape and x.dtype == np.float64
+    inv = inv_pd(empty)
+    assert inv.shape == (0, 0) and inv.dtype == np.float64
 
 
 def test_chol_solve_and_quad_form():

@@ -269,6 +269,56 @@ def test_sample_joint_posterior_moments():
     assert sigma2.mean() == pytest.approx(expected_s2, rel=0.02)
 
 
+def test_sample_joint_posterior_without_coefficients():
+    # The empty normal draw consumes no randomness: the draws, and the
+    # generator's state after them, are those of the gamma draw alone.
+    rng = np.random.default_rng(52)
+    data = LinearDataset(y=rng.standard_normal(9), X=np.zeros((9, 0)))
+    m = ModelId.linear([], intercept=False)
+    prior = ParamPrior(mu=np.zeros(0), sigma_base=np.zeros((0, 0)), c2=1.0,
+                       alpha=2.0, lam=3.0)
+    post = posterior_moments(data, m, prior)
+    got, oracle = np.random.default_rng(9), np.random.default_rng(9)
+    beta, sigma2 = sample_joint_posterior(data, m, prior, 50, got)
+    tau = oracle.gamma(shape=post.a_post, scale=1.0 / post.lambda_post,
+                       size=50)
+    assert beta.shape == (50, 0)
+    assert np.array_equal(sigma2, 1.0 / tau)
+    assert got.bit_generator.state == oracle.bit_generator.state
+
+
+def test_gelfand_predictives_without_coefficients():
+    # With d = 0 every draw's mean is 0, so each predictive is the
+    # harmonic-mean estimate over the sigma^2 draws alone.
+    rng = np.random.default_rng(53)
+    data = LinearDataset(y=rng.standard_normal(7),
+                         X=rng.standard_normal((7, 2)))
+    m = ModelId.linear([], intercept=False)
+    prior = ParamPrior(mu=np.zeros(0), sigma_base=np.zeros((0, 0)), c2=1.0,
+                       alpha=2.0, lam=3.0)
+    lpd = loo_log_predictives([m], data, {m: prior}, mode="gelfand",
+                              rng=np.random.default_rng(4), num_draws=400)
+    _, sigma2 = sample_joint_posterior(data, m, prior, 400,
+                                       np.random.default_rng(4))
+    nld = 0.5 * (data.y[None, :] ** 2 / sigma2[:, None]
+                 + np.log(2.0 * math.pi * sigma2)[:, None])
+    expected = math.log(400) - np.log(np.exp(nld).sum(axis=0))
+    assert np.allclose(lpd[0], expected, rtol=0.0, atol=1e-12)
+
+
+def test_sweep_map_models_are_the_rowwise_argmax():
+    rng = np.random.default_rng(54)
+    X = rng.standard_normal((30, 4))
+    data = LinearDataset(y=X[:, 0] - X[:, 2] + rng.standard_normal(30), X=X)
+    grid = np.geomspace(1e-3, 1e4, 8)
+    sweep = gprior_sweep(data, grid, ModelPriorPolicy(variant="uniform"))
+    models = list(sweep.models)
+    assert sweep.map_models() == [
+        models[int(np.argmax(row))] for row in sweep.log_posterior]
+    assert sweep.map_models() == [sweep.posterior_at(i).map_model()
+                                  for i in range(grid.size)]
+
+
 def test_all_subsets_stats_matches_lstsq():
     rng = np.random.default_rng(47)
     n, p = 25, 4

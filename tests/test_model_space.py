@@ -13,10 +13,10 @@ import pytest
 
 from jointbma.averaging import ModelPosterior
 from jointbma.exceptions import CapacityError, ContractError, \
-    SpecificationError
+    NumericalDomainError, SpecificationError
 from jointbma.linear_exact import SweepResult
-from jointbma.model_space import LINEAR, Baseline, FactorSpec, \
-    LinearSubsets, ModelId, ModelPriorPolicy, calibrate_p, \
+from jointbma.model_space import LINEAR, POLICY_VARIANTS, Baseline, \
+    FactorSpec, LinearSubsets, ModelId, ModelPriorPolicy, calibrate_p, \
     enumerate_hierarchical_models, enumerate_linear_models, \
     is_hierarchical, log_prior_model_weight, term_margins
 from jointbma.param_priors import InformationSource, ParamPrior
@@ -217,6 +217,19 @@ def test_baseline_kinds():
         1.5 * (math.log(n0) - psi0))
 
 
+def test_baseline_overflow_is_a_domain_error():
+    # Over a space and for one model alike: a finite rule whose log p
+    # overflows at the largest d is rejected, not returned as inf.
+    space = LinearSubsets(3)
+    for base in (Baseline.dimension(1e308), Baseline.dimension(-1e308),
+                 Baseline.calibrated(24.0, 1e308)):
+        with pytest.raises(NumericalDomainError, match="overflows at d = 4"):
+            base._log_p_all(space)
+        with pytest.raises(NumericalDomainError):
+            base.log_p(space[-1])
+        assert np.isfinite(base.log_p(ModelId.linear([])))
+
+
 def test_baseline_table():
     m1, m2 = ModelId.linear([0]), ModelId.linear([1])
     base = Baseline.from_table({m1: -0.5, m2: -1.5})
@@ -285,6 +298,14 @@ def test_policy_weight_d0_is_baseline():
     policy = ModelPriorPolicy(variant="adjusted_c")
     prior = ParamPrior(mu=np.zeros(0), sigma_base=np.zeros((0, 0)), c2=5.0)
     assert log_prior_model_weight(m, policy, prior=prior) == 0.0
+    # The general path's 0x0 log-determinants add exactly nothing to the
+    # baseline under every variant.
+    info = InformationSource.empirical(np.zeros((0, 0)), 10)
+    baseline = Baseline.from_table({m: -1.25})
+    for variant in POLICY_VARIANTS:
+        policy = ModelPriorPolicy(variant=variant, baseline=baseline)
+        assert log_prior_model_weight(m, policy, prior=prior,
+                                      info=info) == -1.25
 
 
 def test_unknown_variant_rejected():

@@ -27,6 +27,21 @@ def test_param_prior_validation():
                                                         [0.2, 1.0]]), c2=1.0)
 
 
+def test_param_prior_without_coefficients():
+    # The 0x0 sigma_base passes the symmetry and factor checks as they
+    # stand; c^2 and the sigma^2 prior are still checked.
+    prior = ParamPrior(mu=np.zeros(0), sigma_base=np.zeros((0, 0)), c2=3.0,
+                       alpha=1.0, lam=2.0)
+    assert prior.d == 0 and prior.variance().shape == (0, 0)
+    with pytest.raises(ContractError, match="c2"):
+        ParamPrior(mu=np.zeros(0), sigma_base=np.zeros((0, 0)), c2=0.0)
+    with pytest.raises(ContractError):
+        ParamPrior(mu=np.zeros(0), sigma_base=np.zeros((0, 0)), c2=1.0,
+                   alpha=1.0)
+    with pytest.raises(ContractError, match="shape"):
+        ParamPrior(mu=np.zeros(0), sigma_base=np.eye(1), c2=1.0)
+
+
 def test_param_prior_accessors():
     prior = ParamPrior(mu=np.zeros(3), sigma_base=2.0 * np.eye(3), c2=4.0,
                        alpha=1.0, lam=2.0)
