@@ -1,14 +1,15 @@
 """Shared dense linear-algebra kernel.
 
 Every determinant and quadratic form in the package starts from the
-Cholesky routines here, in log space. A caller that evaluates the same
-form many times (the joint RJ chain) forms the inverse factor L^{-1}
-once with inv_factor and takes x' A^{-1} x as ||L^{-1} x||^2, a matmul
-in place of a triangular solve; the result can differ from quad_form's
-in the last bits. Near-singular matrices (condition number above
-COND_CAP estimated from the factor) are rejected rather than
-regularized, so exactness identities downstream stay meaningful.
-chol_factor and factor_logdet also take a stack of matrices.
+Cholesky routines here, in log space. A prior's quadratic form (in the
+joint RJ chain and the Laplace marginal alike) goes through the inverse
+factor L^{-1} from inv_factor, as ||L^{-1} x||^2, a matmul in place of
+a triangular solve; quad_form, the solve, can differ from it in the
+last bits and serves the tests as their oracle. Near-singular matrices
+(condition number above COND_CAP estimated from the factor) are
+rejected rather than regularized, so exactness identities downstream
+stay meaningful. chol_factor and factor_logdet also take a stack of
+matrices.
 """
 import numpy as np
 
@@ -104,9 +105,11 @@ def inv_factor(L):
 
 
 def inv_pd(a, what="matrix"):
-    """Inverse of a symmetric positive definite matrix via its factor."""
+    """Inverse of a symmetric positive definite matrix via its factor,
+    symmetrized as (inv + inv') / 2."""
     L = chol_factor(a, what)
-    return chol_solve(L, np.eye(L.shape[0]))
+    inv = chol_solve(L, np.eye(L.shape[0]))
+    return 0.5 * (inv + inv.T)
 
 
 def log_sum_exp(values):

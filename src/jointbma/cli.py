@@ -357,9 +357,7 @@ def _cmd_rjmcmc(cfg):
         route = "linear"
     est = estimate_model_probs(chain)
     rows = []
-    for pos in np.argsort(-est.probs, kind="stable"):
-        if est.probs[pos] <= 0.0:
-            continue
+    for pos in _top_positions(est.probs, np.count_nonzero(est.probs)):
         m = est.models[pos]
         rows.append((m.label(), int(m.d), float(est.probs[pos]),
                      float(est.se[pos])))

@@ -22,18 +22,18 @@ import math
 
 import numpy as np
 
-from ._linalg import chol_factor, chol_solve, factor_logdet, quad_form
+from ._linalg import chol_factor, chol_solve, factor_logdet
 from .averaging import LogMarginal
 from .exceptions import (ContractError, ConvergenceError, DegenerateDataError,
                          NumericalDomainError, SpecificationError)
-from .param_priors import InformationSource, TermBlock, _stack_blocks
+from .param_priors import InformationSource, TermBlock, _factor_prior, \
+    _log_density_factored, _stack_blocks
 
 __all__ = [
     "ContingencyTable",
     "DesignInfo",
     "GlmFit",
     "PoissonLogLinear",
-    "GaussianKnownVar",
     "build_design",
     "fit_mle_poisson",
     "fit_map_poisson",
@@ -187,43 +187,6 @@ class PoissonLogLinear:
         return (self.X.T * lam) @ self.X
 
 
-class GaussianKnownVar:
-    """Normal likelihood with known variance. Its log-likelihood is
-    exactly quadratic, so the penalized Laplace value must match the
-    analytic marginal; exists to validate the machinery."""
-
-    domain_bound = None
-
-    def __init__(self, X, y, sigma2):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        sigma2 = float(sigma2)
-        if X.ndim != 2 or X.shape[0] != y.shape[0]:
-            raise ContractError(
-                f"design shape {X.shape} does not match {y.shape[0]} rows")
-        if not (sigma2 > 0.0):
-            raise ContractError(f"sigma2 must be positive, got {sigma2}")
-        self.X = X
-        self.y = y
-        self.sigma2 = sigma2
-
-    @property
-    def dim(self):
-        return self.X.shape[1]
-
-    def loglik(self, beta):
-        r = self.y - self.X @ beta
-        n = self.y.shape[0]
-        return float(-0.5 * (n * math.log(2.0 * math.pi * self.sigma2)
-                             + r @ r / self.sigma2))
-
-    def grad(self, beta):
-        return self.X.T @ (self.y - self.X @ beta) / self.sigma2
-
-    def neg_hessian(self, beta):
-        return self.X.T @ self.X / self.sigma2
-
-
 @dataclass(frozen=True)
 class GlmFit:
     beta: np.ndarray
@@ -234,24 +197,22 @@ class GlmFit:
 
 
 def _newton(model, start, tol, max_iter, v_inv=None, mu=None):
-    """Damped Newton ascent of the log-likelihood (MLE), or penalized by
-    a Gaussian prior (v_inv, mu; MAP). The objective is concave for both
-    likelihood classes here, so step halving is only rounding insurance."""
+    """Damped Newton ascent of the log-likelihood penalized by a Gaussian
+    prior (v_inv, mu; MAP). Without a prior it fits the MLE, the MAP fit
+    at zero prior precision: subtracting an exact zero changes no value,
+    gradient or curvature. The objective is concave for both likelihood
+    classes here, so step halving is only rounding insurance."""
     beta = np.asarray(start, dtype=float).copy()
     kind = "mle" if v_inv is None else "map"
+    if v_inv is None:
+        v_inv, mu = np.zeros((beta.shape[0], beta.shape[0])), beta.copy()
 
     def objective(b):
-        val = model.loglik(b)
-        if v_inv is not None:
-            delta = b - mu
-            val -= 0.5 * float(delta @ (v_inv @ delta))
-        return val
+        delta = b - mu
+        return model.loglik(b) - 0.5 * float(delta @ (v_inv @ delta))
 
     def gradient(b):
-        g = model.grad(b)
-        if v_inv is not None:
-            g = g - v_inv @ (b - mu)
-        return g
+        return model.grad(b) - v_inv @ (b - mu)
 
     with np.errstate(over="ignore", invalid="ignore"):
         value = objective(beta)  # a MAP fit starts at the prior mean
@@ -275,10 +236,7 @@ def _newton(model, start, tol, max_iter, v_inv=None, mu=None):
                 raise DegenerateDataError(
                     "MLE diverges; the table has a zero fitted margin for "
                     "this model")
-        neg_h = model.neg_hessian(beta)
-        if v_inv is not None:
-            neg_h = neg_h + v_inv
-        L = chol_factor(neg_h, "Newton curvature")
+        L = chol_factor(model.neg_hessian(beta) + v_inv, "Newton curvature")
         step = chol_solve(L, g)
         # At a true optimum both the gradient and the Newton step vanish.
         # When the supremum sits on the boundary the gradient decays along
@@ -324,54 +282,59 @@ def fit_mle_poisson(X, y, tol=1e-8, max_iter=100):
     return _newton(model, np.zeros(model.dim), tol, max_iter)
 
 
-def _map_laplace(model, prior, L_V, tol=1e-8, max_iter=100):
-    """Newton fit of the posterior mode under the N(mu, V) prior, started
-    at mu, given the Cholesky factor L_V of V. Returns the fit and the
-    Cholesky factor of the curvature V^{-1} - H at the mode."""
+def _factor_matched_prior(model, prior):
+    """_factor_prior's (L_V, W_V, const) of a prior whose dimension is
+    the likelihood's."""
+    if prior.d != model.dim:
+        raise ContractError(
+            f"likelihood dimension {model.dim} does not match prior "
+            f"dimension {prior.d}")
+    return _factor_prior(prior)
+
+
+def _map_laplace(model, prior, tol=1e-8, max_iter=100):
+    """The Laplace expansion of one model at its posterior mode under the
+    N(mu, V) prior: the prior factored once, the mode fitted by Newton
+    from mu, and the curvature V^{-1} - H there factored. Returns the
+    fit, the curvature's Cholesky factor L and _factor_prior's W_V and
+    density constant."""
+    L_V, W_V, const = _factor_matched_prior(model, prior)
     v_inv = chol_solve(L_V, np.eye(model.dim))
     if not np.all(np.isfinite(v_inv)):
         raise NumericalDomainError("prior variance V has no finite inverse")
     fit = _newton(model, prior.mu.copy(), tol, max_iter,
                   v_inv=v_inv, mu=prior.mu)
     curvature = model.neg_hessian(fit.beta) + v_inv
-    return fit, chol_factor(curvature, "Laplace curvature")
+    return fit, chol_factor(curvature, "Laplace curvature"), W_V, const
 
 
 def fit_map_poisson(X, y, prior, tol=1e-8, max_iter=100):
     """Posterior mode under a N(mu, V) prior, started at the prior mean.
     The penalized objective is strictly concave, so this is global."""
-    model = PoissonLogLinear(X, y)
-    if prior.d != model.dim:
-        raise ContractError(
-            f"prior dimension {prior.d} does not match design columns "
-            f"{model.dim}")
-    L_V = chol_factor(prior.variance(), "prior variance V")
-    return _map_laplace(model, prior, L_V, tol, max_iter)[0]
+    return _map_laplace(PoissonLogLinear(X, y), prior, tol, max_iter)[0]
 
 
 def log_marginal_laplace_model(model, prior, variant="at_map",
                                tol=1e-8, max_iter=100):
     """Laplace log marginal for any likelihood exposing loglik, grad,
-    neg_hessian, dim, and domain_bound."""
+    neg_hessian, dim, and domain_bound. At the mode it is the joint
+    chain's log target there (log weight 0) plus half the log-density
+    constant d log 2pi - log|V^{-1} - H| of its Laplace proposal."""
     if variant not in ("at_map", "at_mle"):
         raise SpecificationError(
             f"unknown Laplace variant {variant!r}; expected 'at_map' or "
             "'at_mle'")
-    if prior.d != model.dim:
-        raise ContractError(
-            f"prior dimension {prior.d} does not match design columns "
-            f"{model.dim}")
-    Lv = chol_factor(prior.variance(), "prior variance V")
     if variant == "at_map":
-        fit, L = _map_laplace(model, prior, Lv, tol, max_iter)
+        fit, L, W_V, const = _map_laplace(model, prior, tol, max_iter)
         method = "laplace_penalized"
     else:
+        _, W_V, const = _factor_matched_prior(model, prior)
         fit = _newton(model, np.zeros(model.dim), tol, max_iter)
         L = chol_factor(model.neg_hessian(fit.beta), "Laplace curvature")
         method = "laplace"
-    quad = quad_form(Lv, fit.beta - prior.mu)
-    value = (model.loglik(fit.beta) - 0.5 * factor_logdet(Lv) - 0.5 * quad
-             - 0.5 * factor_logdet(L))
+    value = (model.loglik(fit.beta)
+             + _log_density_factored(fit.beta, prior.mu, W_V, const)
+             + 0.5 * (model.dim * math.log(2.0 * math.pi) - factor_logdet(L)))
     return LogMarginal(value=value, method=method, convention="proper")
 
 

@@ -179,8 +179,7 @@ def gprior_base(X, n=None):
     n = float(n)
     if not (n > 0.0):
         raise ContractError(f"sample size must be positive, got {n}")
-    inv = inv_pd(X.T @ X, "X'X")
-    return n * (0.5 * (inv + inv.T))
+    return n * inv_pd(X.T @ X, "X'X")
 
 
 @dataclass(frozen=True)
@@ -207,8 +206,7 @@ class TermBlock:
         if gram.shape != (self.size, self.size):
             raise ContractError(
                 f"block gram shape {gram.shape} does not match size {self.size}")
-        inv = inv_pd(gram, "block gram matrix")
-        return self.scale2 * 0.5 * (inv + inv.T)
+        return self.scale2 * inv_pd(gram, "block gram matrix")
 
     def mean_vector(self):
         if self.mean is None:

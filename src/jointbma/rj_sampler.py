@@ -40,8 +40,8 @@ from .glm_laplace import ContingencyTable, PoissonLogLinear, _map_laplace, \
 from .linear_exact import LinearDataset, log_marginal_nig
 from .model_space import FactorSpec, LinearSubsets, \
     log_prior_model_weight, model_lookup
-from .param_priors import InformationSource, _factor_prior, \
-    _log_density_factored, linear_design
+from .param_priors import InformationSource, _log_density_factored, \
+    linear_design
 
 __all__ = [
     "SamplerConfig",
@@ -327,16 +327,11 @@ def _run_joint(models, priors, lw, likelihoods, config, kind):
         [], [], [], [], [], []
     for i, m in enumerate(models):
         prior = priors[m]
-        if likelihoods[m].dim != prior.d:
-            raise ContractError(
-                f"likelihood dimension {likelihoods[m].dim} does not match "
-                f"prior dimension {prior.d} for model {m.label()}")
-        L_V, W_V, const = _factor_prior(prior)
-        targets.append(_log_target(lw[i], prior.mu, W_V, const,
-                                   likelihoods[m].loglik))
         # The Laplace proposal N(mode, (V^{-1} - H)^{-1}); its standard
         # deviations also scale the within-model random walk.
-        fit, L = _map_laplace(likelihoods[m], prior, L_V)
+        fit, L, W_V, const = _map_laplace(likelihoods[m], prior)
+        targets.append(_log_target(lw[i], prior.mu, W_V, const,
+                                   likelihoods[m].loglik))
         modes.append(fit.beta)
         chols.append(L)
         inv_chol_ts.append(inv_factor(L).T)

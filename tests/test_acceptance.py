@@ -60,10 +60,11 @@ from jointbma import (
 )
 from jointbma.cli import main
 from jointbma.glm_laplace import (
-    GaussianKnownVar,
     PoissonLogLinear,
     log_marginal_laplace_model,
 )
+
+from likelihoods import GaussianKnownVar
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 

@@ -14,12 +14,14 @@ from scipy.stats import multivariate_normal, poisson
 
 from jointbma.exceptions import ContractError, ConvergenceError, \
     DegenerateDataError, NumericalDomainError, SpecificationError
-from jointbma.glm_laplace import ContingencyTable, GaussianKnownVar, \
-    PoissonLogLinear, _newton, build_design, fit_map_poisson, \
-    fit_mle_poisson, log_marginal_laplace, log_marginal_laplace_model, \
-    term_block_prior, unit_info_for_model
+from jointbma.glm_laplace import ContingencyTable, PoissonLogLinear, \
+    _newton, build_design, fit_map_poisson, fit_mle_poisson, \
+    log_marginal_laplace, log_marginal_laplace_model, term_block_prior, \
+    unit_info_for_model
 from jointbma.model_space import FactorSpec, ModelId
 from jointbma.param_priors import ParamPrior, log_prior_density
+
+from likelihoods import GaussianKnownVar
 
 
 @pytest.fixture

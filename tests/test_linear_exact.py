@@ -10,13 +10,15 @@ import itertools
 import math
 import warnings
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.stats import multivariate_t
 from scipy.stats import t as student_t
 
-from jointbma.averaging import ModelPosterior, normalize_posterior
+from jointbma.averaging import ModelPosterior, inclusion_probs, \
+    normalize_posterior
 from jointbma.datasets import simulate_dfn
 from jointbma.exceptions import ContractError, DegenerateDataError, \
     NumericalDomainError, SpecificationError
@@ -466,6 +468,90 @@ def test_gprior_targets_invariant_to_affine_column_changes(change):
             all_subsets_stats(LinearDataset(y=data.y, X=moved)), *args)
         assert np.max(np.abs(got.log_weights[0]
                              - expected.log_weights[0])) <= 1e-10
+
+
+def small_design(seed, n, p):
+    """A well-posed n x p design with a response that uses its first
+    column, drawn from Philox(seed)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    X = rng.standard_normal((n, p))
+    return LinearDataset(y=1.0 + X[:, 0] + rng.standard_normal(n), X=X)
+
+
+def relabelled(models, perm):
+    """Position in models of each model of the space over X[:, perm]: its
+    member k is covariate perm[k] of X."""
+    member = models.member.astype(np.int64)
+    key = member @ (1 << np.arange(models.p))
+    where = np.empty(1 << models.p, dtype=np.int64)
+    where[key] = np.arange(len(models))
+    return where[member @ (1 << np.asarray(perm))]
+
+
+small_designs = st.integers(1, 5).flatmap(lambda p: st.tuples(
+    st.integers(0, 2**32 - 1), st.integers(p + 4, 40), st.just(p)))
+route_settings = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@route_settings
+@given(small_designs, st.randoms(use_true_random=False),
+       st.sampled_from(POLICY_VARIANTS), st.sampled_from([1.0, 9.0, 1e4]))
+def test_gprior_sweep_permutes_with_the_columns(design, rnd, variant, c2):
+    data = small_design(*design)
+    perm = list(range(data.p))
+    rnd.shuffle(perm)
+    policy = ModelPriorPolicy(variant=variant)
+    expected = gprior_sweep(data, [c2, 1e2 * c2], policy)
+    got = gprior_sweep(LinearDataset(y=data.y, X=data.X[:, perm]),
+                       [c2, 1e2 * c2], policy)
+    pos = relabelled(got.models, perm)
+    for gi in range(2):
+        assert np.allclose(got.posterior_at(gi).probs,
+                           expected.posterior_at(gi).probs[pos],
+                           rtol=0.0, atol=1e-10)
+        assert np.allclose(inclusion_probs(got.posterior_at(gi), data.p),
+                           inclusion_probs(expected.posterior_at(gi),
+                                           data.p)[perm],
+                           rtol=0.0, atol=1e-10)
+
+
+@route_settings
+@given(small_designs, st.data(), st.sampled_from(POLICY_VARIANTS),
+       st.sampled_from([1.0, 9.0, 1e4]))
+def test_gprior_sweep_invariant_to_column_shift_and_scale(design, draw,
+                                                          variant, c2):
+    data = small_design(*design)
+    j = draw.draw(st.integers(0, data.p - 1))
+    shift = draw.draw(st.floats(-1e2, 1e2))
+    scale = draw.draw(st.sampled_from([1e-3, 0.37, 3.0, 1e3]))
+    moved = data.X.copy()
+    # A shift of s column spreads costs about log10(s) digits of R^2,
+    # so shifts stay within 100 spreads.
+    moved[:, j] = scale * (moved[:, j] + shift)
+    policy = ModelPriorPolicy(variant=variant)
+    expected = gprior_sweep(data, [c2], policy).posterior_at(0)
+    got = gprior_sweep(LinearDataset(y=data.y, X=moved), [c2],
+                       policy).posterior_at(0)
+    assert np.allclose(got.probs, expected.probs, rtol=0.0, atol=1e-10)
+    assert np.allclose(inclusion_probs(got, data.p),
+                       inclusion_probs(expected, data.p),
+                       rtol=0.0, atol=1e-10)
+
+
+@route_settings
+@given(small_designs, st.randoms(use_true_random=False),
+       st.sampled_from(POLICY_VARIANTS), st.sampled_from([1.0, 9.0, 1e4]))
+def test_identity_log_targets_permute_with_the_columns(design, rnd, variant,
+                                                        c2):
+    data = small_design(*design)
+    perm = list(range(data.p))
+    rnd.shuffle(perm)
+    policy = ModelPriorPolicy(variant=variant)
+    models, expected = _identity_log_targets(data, policy, c2)
+    _, got = _identity_log_targets(
+        LinearDataset(y=data.y, X=data.X[:, perm]), policy, c2)
+    assert np.allclose(got, expected[relabelled(models, perm)],
+                       rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("column", ["constant", "duplicate"])

@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 
 import jointbma
-from jointbma import glm_laplace, param_priors
+from jointbma import glm_laplace, param_priors, rj_sampler
 from jointbma._linalg import chol_factor, chol_solve, factor_logdet, \
     inv_factor
 from jointbma.averaging import normalize_posterior
 from jointbma.exceptions import ContractError
-from jointbma.glm_laplace import ContingencyTable, GaussianKnownVar, \
-    PoissonLogLinear, _map_laplace, build_design, fit_mle_poisson, \
+from jointbma.glm_laplace import ContingencyTable, PoissonLogLinear, \
+    _map_laplace, build_design, fit_mle_poisson, log_marginal_laplace, \
     term_block_prior
 from jointbma.linear_exact import LinearDataset, gprior_sweep, \
     log_marginal_nig
@@ -35,6 +35,8 @@ from jointbma.param_priors import ParamPrior, _factor_prior, \
 from jointbma.rj_sampler import RjChain, SamplerConfig, _log_target, \
     _neighbor_lists, _policy_weights, batch_means_se, chain_to_csv, \
     estimate_model_probs, rjmcmc_run, rwm_step
+
+from likelihoods import GaussianKnownVar
 
 
 def test_rwm_acceptance_rate_matches_closed_form():
@@ -415,6 +417,34 @@ def test_table_chain_factors_each_prior_once(monkeypatch):
     assert counts[0] == counts[1] == len(models)
 
 
+@pytest.mark.parametrize("space", [three_way_table, empty_model_table])
+def test_chain_target_at_mode_is_the_laplace_marginal(space, monkeypatch):
+    # The chain's per-model set-up is the Laplace expansion that
+    # log_marginal_laplace reports: at each mode, the chain's log target
+    # plus half its proposal's constant is the log weight plus the
+    # marginal, bit for bit. The chain adds the log weight first, so the
+    # uniform policy (every weight 0.0) keeps the sums exact.
+    table, models, priors = space()
+    policy = ModelPriorPolicy(variant="uniform")
+    targets = []
+
+    def spy(*args):
+        targets.append(_log_target(*args))
+        return targets[-1]
+
+    monkeypatch.setattr(rj_sampler, "_log_target", spy)
+    rjmcmc_run(list(models), priors, policy, table,
+               SamplerConfig(iterations=10, seed=3))
+    lw = _policy_weights(models, priors, policy, table)
+    assert len(targets) == len(models) and not lw.any()
+    for i, m in enumerate(models):
+        likelihood = PoissonLogLinear(table.design(m).X, table.counts)
+        fit, L, _, _ = _map_laplace(likelihood, priors[m])
+        q_const = m.d * math.log(2.0 * math.pi) - factor_logdet(L)
+        value = log_marginal_laplace(table, m, priors[m]).value
+        assert value + lw[i] == targets[i](fit.beta) + 0.5 * q_const, i
+
+
 def q_logpdf(L, mode, q_const, beta):
     """Log density of the Laplace proposal N(mode, (L L')^{-1}) at beta,
     with q_const = d log 2pi - log|L L'|."""
@@ -443,7 +473,7 @@ def oracle_joint_chain(models, priors, policy, data, config):
         L_V, W_V, const = _factor_prior(prior)
         targets.append(_log_target(lw[i], prior.mu, W_V, const,
                                    likelihoods[m].loglik))
-        fit, L = _map_laplace(likelihoods[m], prior, L_V)
+        fit, L, _, _ = _map_laplace(likelihoods[m], prior)
         modes.append(fit.beta)
         chols.append(L)
         q_consts.append(prior.d * math.log(2.0 * math.pi) - factor_logdet(L))
