@@ -93,14 +93,11 @@ class ModelPosterior:
         return np.exp(self.log_probs)
 
     def prob_of(self, m):
-        pos = self._position(m)
-        if pos is None:
-            raise ContractError(f"model {m.label()} not in posterior support")
-        return math.exp(self.log_probs[pos])
+        return math.exp(self.log_probs[self._position(m)])
 
     @cached_property
     def _position(self):
-        return model_lookup(self.models)
+        return model_lookup(self.models, "posterior")
 
     def map_model(self):
         return self.models[int(np.argmax(self.log_probs))]

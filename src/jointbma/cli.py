@@ -10,8 +10,8 @@ timestamp: re-running a config rewrites files byte-identically. CSV
 provenance rides in leading '# key=value' comment lines, which the CSV
 loaders skip on re-ingestion.
 
-Exit codes: 0 success; 2 parse or config error; 3 numerical-domain
-error; 4 non-convergence.
+Exit codes: 0 success; 2 parse or config error, or a request that does
+not fit in memory; 3 numerical-domain error; 4 non-convergence.
 """
 import argparse
 from dataclasses import dataclass, field
@@ -45,21 +45,18 @@ MAX_CLI_ENUM = 15
 MAX_CLI_CV = 12
 
 
-def _fmt(value):
-    """One cell as text: floats at 17 significant digits, lossless."""
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 def _jsonable(value):
     if isinstance(value, (float, np.floating)):
         return float(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
     return value
+
+
+def _fmt(value):
+    """One cell as text: floats at 17 significant digits, lossless."""
+    value = _jsonable(value)
+    return "%.17g" % value if type(value) is float else str(value)
 
 
 @dataclass(frozen=True)
@@ -157,20 +154,13 @@ def _load_table(cfg):
     return load_contingency_csv(cfg.data.path, cfg.space, cfg.data.levels)
 
 
-def _covariate_labels(data):
-    if data.labels:
-        return data.labels
-    return tuple(f"x{j + 1}" for j in range(data.p))
-
-
 def _cmd_simulate(cfg):
     data = _load_linear(cfg)
-    labels = _covariate_labels(data)
     response = cfg.data.response or "y"
     rows = [(float(data.y[i]), *(float(v) for v in data.X[i]))
             for i in range(data.n)]
     return ResultTable(
-        columns=(response,) + labels,
+        columns=(response,) + data.labels,
         rows=rows,
         provenance=_provenance(cfg, generator=cfg.data.generator or "csv",
                                n=data.n, p=data.p))
@@ -215,7 +205,6 @@ def run_sweep(cfg):
     _check_cap(data, MAX_CLI_ENUM, "sweep enumerates 2^p subsets; p={p} "
                "exceeds the command-line cap of {cap}")
     stats, sweeps = _gprior_sweeps(cfg, data, cfg.prior.c2_grid)
-    labels = _covariate_labels(data)
     watch = [(w, stats.models.position(w)) for w in cfg.sweep.watch]
     for w, pos in watch:
         if pos is None:
@@ -237,7 +226,7 @@ def run_sweep(cfg):
             inclusion = inclusion_probs(sweep.posterior_at(gi), data.p)
             for j in range(data.p):
                 rows.append((policy.variant, float(c2), "inclusion",
-                             labels[j], float(inclusion[j])))
+                             data.labels[j], float(inclusion[j])))
     return ResultTable(
         columns=("policy", "c2", "record", "label", "value"),
         rows=rows,
@@ -258,9 +247,8 @@ def _cmd_cv(cfg):
             raise ParseError(
                 f"[cv] covariates reference column {max(idx) + 1} but the "
                 f"data have p={data.p}")
-        labels = _covariate_labels(data)
         data = LinearDataset(y=data.y, X=data.X[:, idx],
-                             labels=tuple(labels[j] for j in idx))
+                             labels=tuple(data.labels[j] for j in idx))
     _check_cap(data, MAX_CLI_CV, "cv scores 2^p models over n leave-one-out "
                "folds; p={p} exceeds the cap of {cap} (select columns via "
                "[cv] covariates)")
@@ -472,6 +460,10 @@ def main(argv=None):
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"error: the request does not fit in memory: {exc}",
+              file=sys.stderr)
+        return 2
     return 0
 
 

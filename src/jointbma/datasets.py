@@ -107,9 +107,8 @@ def load_linear_csv(path, response="y"):
         X.append([values[k] for k in x_cols])
     data = LinearDataset(y=np.array(y), X=np.array(X).reshape(len(y), -1),
                          labels=tuple(header[k] for k in x_cols))
-    rank = int(np.linalg.matrix_rank(data.X)) if data.p else 0
     log.info("loaded %s: n=%d, p=%d, column rank %d", path, data.n, data.p,
-             rank)
+             int(np.linalg.matrix_rank(data.X)))
     return data
 
 

@@ -387,10 +387,8 @@ def term_block_prior(table_or_spec, m, scales, metric="information",
             raise SpecificationError(
                 f"unknown metric {kind!r}; expected 'information' or "
                 "'identity'")
-        mean = None
-        if means is not None and term in means:
-            mean = np.asarray(means[term], dtype=float)
-        block = TermBlock(size=stop - start, scale2=k2, mean=mean)
+        block = TermBlock(size=stop - start, scale2=k2,
+                          mean=(means or {}).get(term))
         key = (term, k2, kind)
         base = bases.get(key)
         if base is None:

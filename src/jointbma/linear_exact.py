@@ -470,14 +470,11 @@ class SweepResult:
                               convention=self.convention)
 
     def prob_trace(self, m):
-        pos = self._position(m)
-        if pos is None:
-            raise ContractError(f"model {m.label()} not in sweep support")
-        return np.exp(self.log_posterior[:, pos])
+        return np.exp(self.log_posterior[:, self._position(m)])
 
     @cached_property
     def _position(self):
-        return model_lookup(self.models)
+        return model_lookup(self.models, "sweep")
 
     def map_models(self):
         return [self.models[i] for i in np.argmax(self.log_posterior, axis=1)]

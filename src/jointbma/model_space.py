@@ -200,16 +200,25 @@ def is_hierarchical(terms):
     return all(all(sub in have for sub in term_margins(t)) for t in have)
 
 
-def model_lookup(models):
-    """Function mapping a model to its first position in models, or None,
-    in O(1): a LinearSubsets ranks the model, any other sequence gets a
-    dict that keeps a linear scan's first-match result."""
+def model_lookup(models, what):
+    """Function mapping a model to its first position in models in O(1),
+    raising ContractError for a model outside the `what` support: a
+    LinearSubsets ranks the model, any other sequence gets a dict that
+    keeps a linear scan's first-match result."""
     if isinstance(models, LinearSubsets):
-        return models.position
-    index = {}
-    for pos, m in enumerate(models):
-        index.setdefault(m, pos)
-    return index.get
+        find = models.position
+    else:
+        index = {}
+        for pos, m in enumerate(models):
+            index.setdefault(m, pos)
+        find = index.get
+
+    def lookup(m):
+        pos = find(m)
+        if pos is None:
+            raise ContractError(f"model {m.label()} not in {what} support")
+        return pos
+    return lookup
 
 
 class LinearSubsets(Sequence):

@@ -125,14 +125,11 @@ class ModelProbEstimate:
     batch_length: int
 
     def prob_of(self, m):
-        pos = self._position(m)
-        if pos is None:
-            raise ContractError(f"model {m.label()} not in sampler support")
-        return float(self.probs[pos])
+        return float(self.probs[self._position(m)])
 
     @cached_property
     def _position(self):
-        return model_lookup(self.models)
+        return model_lookup(self.models, "sampler")
 
 
 def rwm_step(log_target, beta, value, step_sd, rng):
@@ -271,11 +268,10 @@ def rjmcmc_run(space, priors, policy, data, config):
         raise ContractError(
             f"unsupported data object {type(data).__name__}; expected "
             "LinearDataset, ContingencyTable, or a likelihood dict")
-    lw = _policy_weights(models, priors, policy, data)
     for m in models:
         if m not in likelihoods:
             raise ContractError(f"no likelihood supplied for {m.label()}")
-    return _run_joint(models, priors, lw, likelihoods, config, kind)
+    return _run_joint(models, priors, policy, data, likelihoods, config, kind)
 
 
 def _linear_log_targets(models, priors, policy, data):
@@ -316,28 +312,31 @@ def _run_linear_collapsed(models, log_targets, config):
                    accept_jump=accept, attempt_within=0, accept_within=0)
 
 
-def _run_joint(models, priors, lw, likelihoods, config, kind):
+def _run_joint(models, priors, policy, data, likelihoods, config, kind):
     rng, neighbors, log_degree = _walk(models, config)
     # Everything a log target or a proposal needs is formed once per run
     # and lives only as long as it does; caching it on ParamPrior would
     # keep a factor alive for every prior a caller holds. The loop then
     # does matmuls only: the prior quadratic form through W_V = L_V^{-1},
-    # a proposal draw through L^{-T}.
-    modes, chols, inv_chol_ts, q_consts, step_sds, targets = \
+    # a proposal draw through L^{-T}. Every model is fitted before the
+    # policy prices any, so a prior that cannot be fitted fails in Newton
+    # whatever the policy.
+    modes, chols, inv_chol_ts, q_consts, step_sds, densities = \
         [], [], [], [], [], []
-    for i, m in enumerate(models):
+    for m in models:
         prior = priors[m]
         # The Laplace proposal N(mode, (V^{-1} - H)^{-1}); its standard
         # deviations also scale the within-model random walk.
         fit, L, W_V, const = _map_laplace(likelihoods[m], prior)
-        targets.append(_log_target(lw[i], prior.mu, W_V, const,
-                                   likelihoods[m].loglik))
+        densities.append((prior.mu, W_V, const, likelihoods[m].loglik))
         modes.append(fit.beta)
         chols.append(L)
         inv_chol_ts.append(inv_factor(L).T)
         q_consts.append(prior.d * math.log(2.0 * math.pi) - factor_logdet(L))
         cov = chol_solve(L, np.eye(prior.d))
         step_sds.append(config.within_model_scale * np.sqrt(np.diag(cov)))
+    lw = _policy_weights(models, priors, policy, data)
+    targets = [_log_target(w, *terms) for w, terms in zip(lw, densities)]
 
     idx = config.start_index
     beta = modes[idx].copy()

@@ -1057,6 +1057,7 @@ def test_sigma2_prior_checked_only_where_used(tmp_path, capsys, sigma2,
 SHRINKAGE_GRID = "inv_c2_grid = 1e-4,1e-2,3\n"
 TERM_BLOCKS = "[prior]\ntemplate = term_blocks\n"
 TWO_BY_TWO = "\n[space]\nfactors = A:2, B:2\nforced = 1, A, B\n"
+NO_MEMORY = "error: the request does not fit in memory: "
 
 
 @pytest.mark.parametrize("task, section, message", [
@@ -1111,6 +1112,14 @@ TWO_BY_TWO = "\n[space]\nfactors = A:2, B:2\nforced = 1, A, B\n"
      "rjmcmc samples under one model prior; [policy] variants lists 2"),
     ("rjmcmc", "[rjmcmc]\niterations = 300\nburn_in = 298\n",
      "[rjmcmc] keeps fewer than 4 draws after burn_in and thin"),
+    # 10^15 float64 or int64 cells are 8 PB, past any x86-64 address
+    # space, so numpy refuses each allocation before touching memory.
+    ("sweep", "[prior]\nc2_grid = 1,2,1000000000000000\n", NO_MEMORY),
+    ("shrinkage", "[shrinkage]\ninv_c2_grid = 1e-4,1e-2,1000000000000000\n",
+     NO_MEMORY),
+    ("rjmcmc", "[rjmcmc]\niterations = 1000000000000000\n", NO_MEMORY),
+    ("cv", "[cv]\nmode = gelfand\nnum_draws = 1000000000000000\n",
+     NO_MEMORY),
 ], ids=["cv-covariate-float", "cv-covariate-text", "cv-covariate-repeated",
         "calibrated-n0-nan",
         "calibrated-psi0-inf", "shrinkage-n-inf", "shrinkage-sigma2-inf",
@@ -1123,7 +1132,9 @@ TWO_BY_TWO = "\n[space]\nfactors = A:2, B:2\nforced = 1, A, B\n"
         "linear-rjmcmc-template-term-blocks", "prior-probs-template-gprior",
         "table-rjmcmc-template-gprior", "cv-covariate-past-p",
         "shrinkage-grid-missing", "prior-probs-space-missing",
-        "linear-rjmcmc-two-variants", "rjmcmc-keeps-too-few-draws"])
+        "linear-rjmcmc-two-variants", "rjmcmc-keeps-too-few-draws",
+        "sweep-c2-grid-too-long", "shrinkage-inv-c2-grid-too-long",
+        "linear-rjmcmc-iterations-too-many", "cv-gelfand-draws-too-many"])
 def test_malformed_or_non_finite_key_exits_2(tmp_path, capsys, task,
                                              section, message):
     data_path = str(tmp_path / "d.csv")
@@ -1334,6 +1345,46 @@ def test_inputs_at_the_float_range_ends_exit_cleanly(tmp_path, capsys, task,
         # terms is not uniform: 1e300 must not round s away.
         probs = [float(row[-1]) for row in rows if row[2] == "model"]
         assert max(probs) > 2.0 * min(probs)
+
+
+@pytest.mark.parametrize("mean, message", [
+    ("1e300", "the log-likelihood is not finite at the Newton start"),
+    ("100", "Newton curvature is numerically singular"),
+])
+def test_table_rjmcmc_fits_every_model_before_the_policy_weighs_it(
+        tmp_path, capsys, mean, message):
+    # A prior mean that Newton cannot fit fails there with one line under
+    # every variant, before an adjusted policy prices its information.
+    table = tmp_path / "table.csv"
+    table.write_text("A,B,count\na1,b1,12\na1,b2,7\na2,b1,9\na2,b2,15\n",
+                     encoding="utf-8")
+    text = EDGE_TABLE.format(
+        table=table, setting=f"scale = 2\nmetric = identity\n"
+                             f"mean.A*B = {mean}")
+    lines = set()
+    for variant in POLICY_VARIANTS:
+        cfg = write_config(tmp_path, (
+            "[experiment]\ntask = rjmcmc\nseed = 5\n\n" + text
+            + f"\n[policy]\nvariants = {variant}\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["rjmcmc", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        lines.add(captured.err)
+    assert len(lines) == 1
+    line = lines.pop()
+    assert line.startswith("numerical error: ") and message in line
+    if mean == "1e300":
+        # prior-probs fits nothing: the information at the prior mean
+        # overflows first.
+        cfg = write_config(tmp_path, "[experiment]\ntask = prior-probs\n\n"
+                           + text + "\n[policy]\nvariants = adjusted_info\n")
+        assert main(["prior-probs", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == \
+            "error: linear predictor overflows exp(); rescale first\n"
 
 
 @pytest.mark.parametrize("setting, message", [

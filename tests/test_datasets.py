@@ -204,3 +204,15 @@ def test_contingency_parse_errors(tmp_path, spec22):
         load_contingency_csv(path, spec22, {"R": ("lo",), "C": ("a", "b")})
     with pytest.raises(ParseError, match="no level labels"):
         load_contingency_csv(path, spec22, {"R": ("lo", "hi")})
+
+
+def test_linear_csv_response_only(tmp_path, caplog):
+    # An n x 0 design has column rank 0 through the general rank rule.
+    path = tmp_path / "t.csv"
+    path.write_text("y\n1\n2\n3\n")
+    with caplog.at_level("INFO", logger="jointbma.datasets"):
+        data = load_linear_csv(path)
+    assert data.n == 3 and data.p == 0 and data.X.shape == (3, 0)
+    assert np.array_equal(data.y, [1.0, 2.0, 3.0])
+    assert data.labels == ()
+    assert "p=0, column rank 0" in caplog.text
