@@ -17,6 +17,7 @@ from .exceptions import NumericalDomainError
 
 __all__ = [
     "COND_CAP",
+    "cholesky",
     "chol_factor",
     "check_factor",
     "chol_logdet",
@@ -51,11 +52,17 @@ def chol_factor(a, what="matrix"):
     a = _as_sym(a)
     if a.shape[-1] == 0:
         return np.zeros(a.shape)
+    return check_factor(cholesky(a, what), what)
+
+
+def cholesky(a, what="matrix"):
+    """np.linalg.cholesky of a (or of a stack) without check_factor's
+    rule, whose text a failed factorization shares."""
     try:
-        L = np.linalg.cholesky(a)
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
-        raise NumericalDomainError(f"{what} is not positive definite") from exc
-    return check_factor(L, what)
+        raise NumericalDomainError(f"{what} is numerically singular "
+                                   "(not positive definite)") from exc
 
 
 def check_factor(L, what="matrix"):

@@ -22,6 +22,7 @@ import numpy as np
 from ._linalg import log_sum_exp
 from .exceptions import ContractError
 from .model_space import LINEAR, LinearSubsets, model_lookup
+from .param_priors import _check_covariates
 from .special import chi2_cdf, chi2_cdf_small_x
 
 __all__ = [
@@ -148,9 +149,7 @@ def inclusion_probs(posterior, p):
     out = np.zeros(int(p))
     models = posterior.models
     if isinstance(models, LinearSubsets):
-        if models.p > p:
-            raise ContractError(
-                f"model references covariate {models.p - 1} but p = {p}")
+        _check_covariates(range(models.p), p)
         out[:models.p] = np.exp(posterior.log_probs) @ models.member
         return out
     for m, lp in zip(posterior.models, posterior.log_probs):
@@ -158,12 +157,8 @@ def inclusion_probs(posterior, p):
             raise ContractError(
                 "inclusion_probs expects covariate-subset models; use "
                 "term_inclusion_probs for term sets")
-        w = math.exp(lp)
-        for j in m.members:
-            if j >= p:
-                raise ContractError(
-                    f"model references covariate {j} but p = {p}")
-            out[j] += w
+        _check_covariates(m.members, p)
+        out[list(m.members)] += math.exp(lp)
     return out
 
 
@@ -185,16 +180,9 @@ def embed_linear_mean(m, beta_m, p):
         raise ContractError(
             f"coefficient vector length {beta_m.shape[0]} does not match "
             f"model dimension {m.d}")
+    _check_covariates(m.members, p)
     out = np.zeros(int(p) + 1)
-    at = 0
-    if m.intercept:
-        out[0] = beta_m[0]
-        at = 1
-    for j in m.members:
-        if j >= p:
-            raise ContractError(f"model references covariate {j} but p = {p}")
-        out[j + 1] = beta_m[at]
-        at += 1
+    out[[0] * m.intercept + [j + 1 for j in m.members]] = beta_m
     return out
 
 

@@ -282,26 +282,13 @@ def fit_mle_poisson(X, y, tol=1e-8, max_iter=100):
     return _newton(model, np.zeros(model.dim), tol, max_iter)
 
 
-def _factor_matched_prior(model, prior):
-    """_factor_prior's (L_V, W_V, const) of a prior whose dimension is
-    the likelihood's."""
-    if prior.d != model.dim:
-        raise ContractError(
-            f"likelihood dimension {model.dim} does not match prior "
-            f"dimension {prior.d}")
-    return _factor_prior(prior)
-
-
 def _map_laplace(model, prior, tol=1e-8, max_iter=100):
     """The Laplace expansion of one model at its posterior mode under the
     N(mu, V) prior: the prior factored once, the mode fitted by Newton
     from mu, and the curvature V^{-1} - H there factored. Returns the
     fit, the curvature's Cholesky factor L and _factor_prior's W_V and
     density constant."""
-    L_V, W_V, const = _factor_matched_prior(model, prior)
-    v_inv = chol_solve(L_V, np.eye(model.dim))
-    if not np.all(np.isfinite(v_inv)):
-        raise NumericalDomainError("prior variance V has no finite inverse")
+    W_V, v_inv, _, const = _factor_prior(prior, model.dim)
     fit = _newton(model, prior.mu.copy(), tol, max_iter,
                   v_inv=v_inv, mu=prior.mu)
     curvature = model.neg_hessian(fit.beta) + v_inv
@@ -328,7 +315,7 @@ def log_marginal_laplace_model(model, prior, variant="at_map",
         fit, L, W_V, const = _map_laplace(model, prior, tol, max_iter)
         method = "laplace_penalized"
     else:
-        _, W_V, const = _factor_matched_prior(model, prior)
+        W_V, _, _, const = _factor_prior(prior, model.dim)
         fit = _newton(model, np.zeros(model.dim), tol, max_iter)
         L = chol_factor(model.neg_hessian(fit.beta), "Laplace curvature")
         method = "laplace"

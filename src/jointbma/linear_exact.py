@@ -39,13 +39,14 @@ import math
 
 import numpy as np
 
-from ._linalg import check_factor, chol_factor, chol_solve, factor_logdet, \
-    log_sum_exp
+from ._linalg import check_factor, chol_factor, chol_solve, cholesky, \
+    factor_logdet, log_sum_exp
 from .averaging import LogMarginal, ModelPosterior
 from .exceptions import ContractError, DegenerateDataError, JointBmaError, \
     NumericalDomainError, SpecificationError
 from .model_space import LinearSubsets, model_lookup
-from .param_priors import _check_c2, _check_sigma2_prior, linear_design
+from .param_priors import _check_c2, _check_covariates, \
+    _check_sigma2_prior, _factor_prior, linear_design
 
 __all__ = [
     "LinearDataset",
@@ -192,13 +193,9 @@ def _log_marginals(n, yty, half_logdet, alpha, lam, s):
 def _prior_terms(prior, d):
     """(V^{-1}, log|V|, V^{-1} mu, mu'V^{-1}mu) of a prior on a design of
     d columns: the part of the conjugate update that no data touch."""
-    if prior.d != d:
-        raise ContractError(
-            f"prior dimension {prior.d} does not match model dimension {d}")
-    L_v = chol_factor(prior.variance(), "prior variance V")
-    v_inv = chol_solve(L_v, np.eye(d))
+    _, v_inv, ld_v, _ = _factor_prior(prior, d)
     v_inv_mu = v_inv @ prior.mu
-    return v_inv, factor_logdet(L_v), v_inv_mu, float(prior.mu @ v_inv_mu)
+    return v_inv, ld_v, v_inv_mu, float(prior.mu @ v_inv_mu)
 
 
 def _update(Xm, y, yty, prior, terms):
@@ -247,10 +244,7 @@ def log_marginal_gprior_closed(data, m, c2, alpha=0.0, lam=0.0):
         raise ContractError(
             "the closed-form g-prior marginal requires the intercept in the "
             "model; use the generic route for no-intercept models")
-    if m.members and m.members[-1] >= data.p:
-        raise ContractError(
-            f"model references column {m.members[-1]} but X has {data.p} "
-            "columns")
+    _check_covariates(m.members, data.p)
     idx = np.array([m.members], dtype=np.intp)
     r2, tss = _centered_r2(data, [(idx.shape[1], slice(0, 1), idx)], 1)
     one = AllSubsets(models=(m,), d=np.array([m.d]), r2=r2,
@@ -553,11 +547,7 @@ def _identity_log_targets(data, policy, c2, alpha=0.0, lam=0.0):
             ld_g[rows] = factor_logdet(
                 chol_factor(A, "unit information matrix"))
         A += np.eye(d) / c2
-        try:
-            LM = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalDomainError(
-                f"{what} is not positive definite") from exc
+        LM = cholesky(M, what)
         ld_a[rows] = factor_logdet(check_factor(LM[:, :d, :d], what))
         s[rows] = yty - (LM[:, d, :d] ** 2).sum(axis=1)
 

@@ -24,9 +24,10 @@ import math
 
 import numpy as np
 
-from ._linalg import chol_factor, chol_logdet, chol_solve, factor_logdet
+from ._linalg import chol_logdet
 from .exceptions import CapacityError, ContractError, NumericalDomainError, \
     SpecificationError
+from .param_priors import _factor_prior
 
 __all__ = [
     "ModelId",
@@ -485,14 +486,12 @@ def log_prior_model_weight(m, policy, prior=None, info=None):
         return lp + m.d * 0.5 * math.log(prior.c2)
     if info is None:
         raise ContractError(f"policy {variant!r} requires an information source")
-    L_V = chol_factor(prior.variance(), "prior variance V")
-    ld_v = factor_logdet(L_V)
+    _, v_inv, ld_v, _ = _factor_prior(prior, m.d)
     if variant in ("adjusted_info", "loglinear_adjusted"):
         # The log-linear form (1/2)log|V| + (1/2)log|X'Diag(l0)X| -
         # (d/2) log n is the same quantity: the cell-count powers cancel
         # against the unit normalization of the information matrix.
         return lp + 0.5 * (ld_v + info.logdet())
     # adjusted_exact, the one variant left: ModelPriorPolicy admits no other.
-    v_inv = chol_solve(L_V, np.eye(prior.d))
     mat = info.matrix() + v_inv / info.n
     return lp + 0.5 * (ld_v + chol_logdet(mat, "i + n^{-1}V^{-1}"))

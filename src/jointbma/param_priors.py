@@ -240,22 +240,20 @@ def _stack_blocks(blocks, c2, alpha, lam):
     return ParamPrior(mu=mu, sigma_base=sigma, c2=c2, alpha=alpha, lam=lam)
 
 
+def _check_covariates(members, p):
+    """The rule that a model's sorted covariate indices fit p columns."""
+    if members and members[-1] >= p:
+        raise ContractError(
+            f"model references covariate {members[-1]} but p = {p}")
+
+
 def linear_design(X, m):
     """Design matrix of a covariate-subset model: intercept column first
     when present, then the selected columns of X in index order."""
     X = _as_matrix(X, "covariate matrix")
-    if m.members and m.members[-1] >= X.shape[1]:
-        raise ContractError(
-            f"model references column {m.members[-1]} but X has "
-            f"{X.shape[1]} columns")
-    cols = []
-    if m.intercept:
-        cols.append(np.ones((X.shape[0], 1)))
-    if m.members:
-        cols.append(X[:, list(m.members)])
-    if not cols:
-        return np.zeros((X.shape[0], 0))
-    return np.hstack(cols)
+    _check_covariates(m.members, X.shape[1])
+    cols = [np.ones((X.shape[0], 1))] if m.intercept else []
+    return np.hstack(cols + [X[:, list(m.members)]])
 
 
 def prior_for_linear_model(X, m, c2, alpha=0.0, lam=0.0, mu=None,
@@ -318,24 +316,33 @@ def log_prior_density(beta, prior):
     if beta.shape != (prior.d,):
         raise ContractError(
             f"beta shape {beta.shape} does not match prior dimension {prior.d}")
-    _, W, const = _factor_prior(prior)
+    W, _, _, const = _factor_prior(prior, prior.d)
     return _log_density_factored(beta, prior.mu, W, const)
 
 
-def _factor_prior(prior):
-    """Cholesky factor L of V, its inverse W = L^{-1}, and the density
-    constant d log 2pi + log|V|, for callers that evaluate one prior's
-    density many times."""
+def _factor_prior(prior, d):
+    """(W, V^{-1}, log|V|, d log 2pi + log|V|) of a prior on a likelihood
+    of d coefficients, from one Cholesky factor L of its variance V, with
+    W = L^{-1}: the one factorization behind the conjugate update, the
+    policy weights, the Laplace expansion and the density. V^{-1} must
+    be finite."""
+    if prior.d != d:
+        raise ContractError(
+            f"likelihood dimension {d} does not match prior dimension "
+            f"{prior.d}")
     L = chol_factor(prior.variance(), "prior variance V")
-    const = prior.d * math.log(2.0 * math.pi) + factor_logdet(L)
-    return L, inv_factor(L), const
+    W = inv_factor(L)
+    # L^{-T} W is chol_solve(L, I): the same two solves.
+    v_inv = np.linalg.solve(L.T, W)
+    if not np.all(np.isfinite(v_inv)):
+        raise NumericalDomainError("prior variance V has no finite inverse")
+    ld_v = factor_logdet(L)
+    return W, v_inv, ld_v, d * math.log(2.0 * math.pi) + ld_v
 
 
 def _log_density_factored(beta, mu, W, const):
     """Log N(mu, V) density at beta from _factor_prior's W and constant,
     with the quadratic form taken as ||W (beta - mu)||^2; beta must
     already have mu's shape."""
-    if W.shape[0] == 0:
-        return 0.0
     z = W @ (beta - mu)
     return -0.5 * (const + float(z @ z))

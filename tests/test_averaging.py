@@ -81,6 +81,18 @@ def test_normalize_posterior_with_prior_weights_and_errors():
         normalize_posterior([], [])
 
 
+def test_normalize_posterior_checks_its_inputs_line_up():
+    m = [ModelId.linear([]), ModelId.linear([0])]
+    with pytest.raises(ContractError, match="^1 marginals for 2 models$"):
+        normalize_posterior(m, [lm(-1.0)])
+    with pytest.raises(ContractError, match="duplicate models"):
+        normalize_posterior([m[0], m[0]], [lm(-1.0), lm(-2.0)])
+    with pytest.raises(ContractError, match=r"shape \(3,\) does not match "
+                                            "2 models"):
+        normalize_posterior(m, [lm(-1.0), lm(-2.0)],
+                            log_prior_weights=np.zeros(3))
+
+
 def test_inclusion_probs_brute_force():
     p = 3
     models = [ModelId.linear(s) for s in

@@ -573,6 +573,23 @@ def test_identity_targets_reject_singular_designs_as_per_model_route():
             is NumericalDomainError
 
 
+def test_identity_targets_name_a_singular_precision_one_way():
+    # x3 = x1 leaves the posterior precision singular but for I/c^2. At
+    # these c^2 rounding decides whether the factorization fails or the
+    # conditioning rule trips on its factor; either way the text reads
+    # the same.
+    for seed, c2 in itertools.product(range(6), (1e16, 1e20)):
+        rng = np.random.Generator(np.random.Philox(seed))
+        X = rng.standard_normal((20, 3))
+        X[:, 2] = X[:, 0]
+        data = LinearDataset(y=1.0 + X[:, 0] + rng.standard_normal(20), X=X)
+        with pytest.raises(NumericalDomainError,
+                           match=r"^posterior precision is numerically "
+                                 r"singular \("):
+            _identity_log_targets(
+                data, ModelPriorPolicy(variant="uniform"), c2, 0.0, 0.0)
+
+
 def test_identity_targets_report_a_failed_batch_factor_on_the_precision(
         monkeypatch):
     # The last pivot of [A b; b' 2y'y + 1] is real at any fit, so a
@@ -588,8 +605,8 @@ def test_identity_targets_report_a_failed_batch_factor_on_the_precision(
     monkeypatch.setattr(np.linalg, "cholesky", failing)
     args = (small_dataset(), ModelPriorPolicy(variant="uniform"), 9.0)
     with pytest.raises(NumericalDomainError,
-                       match="^posterior precision is not positive "
-                             "definite$") as exc:
+                       match=r"^posterior precision is numerically singular "
+                             r"\(not positive definite\)$") as exc:
         _identity_log_targets(*args)
     assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
@@ -807,6 +824,17 @@ def test_prior_probs_small_space(tmp_path, capsys):
     # sqrt(9/4) = 1.5 exactly.
     adjusted = [float(r[3]) for r in rows if r[0] == "loglinear_adjusted"]
     assert adjusted == pytest.approx([0.4, 0.6], abs=1e-12)
+
+
+def test_prior_probs_labels_multi_letter_factors(tmp_path, capsys):
+    # Factor names longer than one letter join an interaction with ':'.
+    rows = _prior_probs_rows(tmp_path, capsys, (
+        "[experiment]\ntask = prior-probs\n\n"
+        "[space]\nfactors = Age:2, Sex:2\nforced = 1, Age, Sex\n"
+        "candidates = Age*Sex\n\n"
+        "[prior]\ntemplate = term_blocks\nscale = 9.0\n\n"
+        "[policy]\nvariants = uniform\n"))
+    assert [r[1] for r in rows] == ["Age+Sex", "Age+Sex+Age:Sex"]
 
 
 def _prior_probs_rows(tmp_path, capsys, text):
@@ -1345,6 +1373,30 @@ def test_inputs_at_the_float_range_ends_exit_cleanly(tmp_path, capsys, task,
         # terms is not uniform: 1e300 must not round s away.
         probs = [float(row[-1]) for row in rows if row[2] == "model"]
         assert max(probs) > 2.0 * min(probs)
+
+
+@pytest.mark.parametrize("task, variant", [
+    ("prior-probs", "adjusted_info"), ("prior-probs", "adjusted_exact"),
+    ("prior-probs", "loglinear_adjusted"), ("rjmcmc", "adjusted_info")])
+def test_prior_without_finite_inverse_exits_3_on_every_table_task(
+        tmp_path, capsys, task, variant):
+    # scale = 1e-320 factors, but V^{-1} overflows. The policy weights
+    # take V's factorization from the owner the chain's Laplace fit uses,
+    # so prior-probs rejects the prior as rjmcmc does, with one line.
+    table = tmp_path / "table.csv"
+    table.write_text("A,B,count\na1,b1,12\na1,b2,7\na2,b1,9\na2,b2,15\n",
+                     encoding="utf-8")
+    cfg = write_config(tmp_path, (
+        f"[experiment]\ntask = {task}\nseed = 1\n\n"
+        + EDGE_TABLE.format(table=table, setting="scale = 1e-320")
+        + f"\n[policy]\nvariants = {variant}\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([task, "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical error: prior variance V has no "
+                            "finite inverse\n")
 
 
 @pytest.mark.parametrize("mean, message", [

@@ -156,6 +156,16 @@ def test_contingency_row_major_and_permutation(tmp_path, spec22):
     assert np.array_equal(permuted.counts, table.counts)
 
 
+def test_contingency_file_and_count_text_errors(tmp_path, spec22):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"R,C,count\nlo,a,1\nlo,b,\xff\nhi,a,3\nhi,b,4\n")
+    with pytest.raises(ParseError, match="is not UTF-8 text"):
+        load_contingency_csv(path, spec22, LEVELS22)
+    path.write_text(table_text(["lo,a,1", "lo,b,two", "hi,a,3", "hi,b,4"]))
+    with pytest.raises(ParseError, match="row 3: non-numeric count 'two'"):
+        load_contingency_csv(path, spec22, LEVELS22)
+
+
 def test_contingency_extra_columns_and_comments(tmp_path, spec22):
     path = tmp_path / "t.csv"
     path.write_text("# provenance\nnote,R,C,count\nq,lo,a,1\nq,lo,b,2\n"

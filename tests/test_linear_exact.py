@@ -17,8 +17,8 @@ from scipy import integrate
 from scipy.stats import multivariate_t
 from scipy.stats import t as student_t
 
-from jointbma.averaging import ModelPosterior, inclusion_probs, \
-    normalize_posterior
+from jointbma.averaging import ModelPosterior, embed_linear_mean, \
+    inclusion_probs, normalize_posterior
 from jointbma.datasets import simulate_dfn
 from jointbma.exceptions import ContractError, DegenerateDataError, \
     NumericalDomainError, SpecificationError
@@ -26,8 +26,9 @@ from jointbma.linear_exact import LinearDataset, _identity_log_targets, \
     all_subsets_stats, cv_score, gprior_log_marginals, gprior_sweep, \
     log_marginal_gprior_closed, log_marginal_nig, loo_log_predictives, \
     loo_predictive_exact, posterior_moments, sample_joint_posterior
-from jointbma.model_space import POLICY_VARIANTS, Baseline, ModelId, \
-    ModelPriorPolicy, enumerate_linear_models, log_prior_model_weight
+from jointbma.model_space import POLICY_VARIANTS, Baseline, LinearSubsets, \
+    ModelId, ModelPriorPolicy, enumerate_linear_models, \
+    log_prior_model_weight
 from jointbma.param_priors import InformationSource, ParamPrior, \
     linear_design, prior_for_linear_model
 
@@ -188,6 +189,39 @@ def test_gprior_closed_requires_intercept():
     with pytest.raises(ContractError, match="intercept"):
         log_marginal_gprior_closed(data, ModelId.linear([0], intercept=False),
                                    c2=1.0)
+
+
+def test_every_covariate_route_rejects_an_out_of_range_member_alike():
+    # One rule, with one message, for a model whose covariates do not fit
+    # the p columns: the design, the closed-form marginal, both
+    # inclusion-probability branches and the coefficient layout.
+    rng = np.random.default_rng(52)
+    X = rng.standard_normal((8, 2))
+    data = LinearDataset(y=X[:, 0] + rng.standard_normal(8), X=X)
+    m = ModelId.linear([0, 5])
+    listed = ModelPosterior(models=(m,), log_probs=np.zeros(1),
+                            convention="proper")
+    lazy = ModelPosterior(models=LinearSubsets(3), log_probs=np.full(8, -3.0),
+                          convention="proper")
+    routes = [
+        (lambda: linear_design(X, m), 5, 2),
+        (lambda: log_marginal_gprior_closed(data, m, 4.0), 5, 2),
+        (lambda: inclusion_probs(listed, 2), 5, 2),
+        (lambda: inclusion_probs(lazy, 2), 2, 2),
+        (lambda: embed_linear_mean(m, np.zeros(3), 2), 5, 2),
+    ]
+    for route, j, p in routes:
+        with pytest.raises(ContractError,
+                           match=f"^model references covariate {j} but "
+                                 f"p = {p}$"):
+            route()
+
+
+def test_gprior_sweep_rejects_an_empty_grid():
+    data = LinearDataset(y=np.arange(5.0), X=np.ones((5, 1)))
+    with pytest.raises(ContractError,
+                       match="c2_grid must contain positive scales"):
+        gprior_sweep(data, [], ModelPriorPolicy(variant="uniform"))
 
 
 def test_perfect_fit_improper_is_degenerate():

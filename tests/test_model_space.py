@@ -293,6 +293,25 @@ def test_policy_weight_requires_inputs():
         log_prior_model_weight(m, policy)
 
 
+def test_policy_weight_needs_information_and_a_prior_of_its_dimension():
+    # The information-based variants take the information source; both
+    # take V's factorization from the one owner, which checks that the
+    # prior has the model's dimension.
+    rng = np.random.default_rng(11)
+    m = ModelId.linear([0, 2])  # d = 3
+    info = InformationSource.linear(rng.standard_normal((20, 3)))
+    for variant in ("adjusted_info", "adjusted_exact"):
+        policy = ModelPriorPolicy(variant=variant)
+        with pytest.raises(ContractError,
+                           match="requires an information source"):
+            log_prior_model_weight(m, policy, prior=_toy_prior(rng, 3, 2.0))
+        with pytest.raises(ContractError,
+                           match="^likelihood dimension 3 does not match "
+                                 "prior dimension 2$"):
+            log_prior_model_weight(m, policy, prior=_toy_prior(rng, 2, 2.0),
+                                   info=info)
+
+
 def test_policy_weight_d0_is_baseline():
     m = ModelId.linear([], intercept=False)
     policy = ModelPriorPolicy(variant="adjusted_c")

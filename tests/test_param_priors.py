@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from jointbma._linalg import quad_form
-from jointbma.exceptions import ContractError
-from jointbma.model_space import ModelId
+from jointbma._linalg import chol_factor, quad_form
+from jointbma.exceptions import ContractError, NumericalDomainError
+from jointbma.glm_laplace import PoissonLogLinear, log_marginal_laplace_model
+from jointbma.linear_exact import LinearDataset, log_marginal_nig, \
+    loo_log_predictives, posterior_moments
+from jointbma.model_space import ModelId, ModelPriorPolicy, \
+    log_prior_model_weight
 from jointbma.param_priors import InformationSource, ParamPrior, TermBlock, \
     _factor_prior, _log_density_factored, blockwise_prior, \
     fisher_info_poisson, gprior_base, linear_design, log_prior_density, \
@@ -181,8 +185,8 @@ def test_factored_density_matches_quad_form_oracle(d, seed):
                        sigma_base=a @ a.T + np.eye(d),
                        c2=10.0 ** rng.uniform(-3.0, 3.0))
     beta = prior.mu + 3.0 * rng.standard_normal(d)
-    L, W, const = _factor_prior(prior)
-    quad = quad_form(L, beta - prior.mu)
+    W, _, _, const = _factor_prior(prior, d)
+    quad = quad_form(chol_factor(prior.variance()), beta - prior.mu)
     oracle = -0.5 * (const + quad)
     value = _log_density_factored(beta, prior.mu, W, const)
     assert abs(value - oracle) <= 1e-12 * 0.5 * (abs(const) + quad)
@@ -214,3 +218,48 @@ def test_poisson_source_matches_loglik_curvature():
                        - loglik(beta - ej + ek)
                        + loglik(beta - ej - ek)) / (4.0 * h * h)
     assert np.allclose(src.matrix(), -H / 9.0, atol=1e-4)
+
+
+def _weight(variant):
+    return lambda data, m, prior: log_prior_model_weight(
+        m, ModelPriorPolicy(variant=variant), prior=prior,
+        info=InformationSource.linear(linear_design(data.X, m)))
+
+
+def _laplace(variant):
+    def route(data, m, prior):
+        counts = np.round(np.exp(1.0 + 0.3 * data.X[:, 0]))
+        model = PoissonLogLinear(linear_design(data.X, m), counts)
+        return log_marginal_laplace_model(model, prior, variant=variant)
+    return route
+
+
+PRIOR_ROUTES = {
+    "log_marginal_nig": log_marginal_nig,
+    "posterior_moments": posterior_moments,
+    "loo_log_predictives": lambda data, m, prior: loo_log_predictives(
+        [m], data, {m: prior}),
+    "adjusted_info_weight": _weight("adjusted_info"),
+    "adjusted_exact_weight": _weight("adjusted_exact"),
+    "log_prior_density": lambda data, m, prior: log_prior_density(
+        np.zeros(m.d), prior),
+    "laplace_at_map": _laplace("at_map"),
+    "laplace_at_mle": _laplace("at_mle"),
+}
+
+
+@pytest.mark.parametrize("route", PRIOR_ROUTES.values(), ids=PRIOR_ROUTES)
+def test_prior_without_finite_inverse_is_rejected_by_every_route(route):
+    # V = 1e-310 I factors, but V^{-1} = 1e310 I overflows. One
+    # factorization owns the rule that V^{-1} be finite, so the conjugate
+    # update, the policy weights, the density and both Laplace variants
+    # reject this prior alike, where a route that skipped the rule
+    # returned a number or warned.
+    rng = np.random.Generator(np.random.Philox(7))
+    X = rng.standard_normal((12, 2))
+    data = LinearDataset(y=1.0 + X[:, 0] + rng.standard_normal(12), X=X)
+    m = ModelId.linear([0, 1])
+    prior = ParamPrior(mu=np.zeros(3), sigma_base=1e-310 * np.eye(3), c2=1.0)
+    with pytest.raises(NumericalDomainError,
+                       match="^prior variance V has no finite inverse$"):
+        route(data, m, prior)

@@ -144,6 +144,38 @@ def loop_batch_means(chain, burn_in, thin):
     return se, length
 
 
+def test_sampler_settings_out_of_range_are_contract_errors():
+    for setting, match in [({"thin": 0}, "thin must be >= 1"),
+                           ({"jump_prob": 1.5}, "jump_prob must lie in"),
+                           ({"jump_prob": -0.1}, "jump_prob must lie in"),
+                           ({"start_index": -1},
+                            "start_index must be nonnegative")]:
+        with pytest.raises(ContractError, match=match):
+            SamplerConfig(iterations=10, **setting)
+    models = (ModelId.linear([]), ModelId.linear([0]))
+    with pytest.raises(ContractError, match="^thin must be >= 1, got 0$"):
+        estimate_model_probs(synthetic_chain([0, 1] * 5, models), thin=0)
+    with pytest.raises(ContractError,
+                       match="duplicate models in sampler space"):
+        _neighbor_lists([models[1], models[0], models[1]])
+
+
+def test_linear_chain_rejects_mixed_sigma2_conventions():
+    # Improper-reference marginals carry an arbitrary offset that cancels
+    # only against marginals of the same convention.
+    rng = np.random.Generator(np.random.Philox(13))
+    X = rng.standard_normal((15, 1))
+    data = LinearDataset(y=X[:, 0] + rng.standard_normal(15), X=X)
+    models = (ModelId.linear([]), ModelId.linear([0]))
+    priors = {models[0]: prior_for_linear_model(X, models[0], 4.0),
+              models[1]: prior_for_linear_model(X, models[1], 4.0,
+                                                alpha=2.0, lam=1.0)}
+    with pytest.raises(ContractError,
+                       match=r"mixed sigma\^2 conventions across the space"):
+        rjmcmc_run(models, priors, ModelPriorPolicy(variant="uniform"), data,
+                   SamplerConfig(iterations=10))
+
+
 @pytest.mark.parametrize("p, iterations, burn_in, thin, cells", [
     (12, 20000, 2000, 1, None),
     (6, 5000, 100, 3, None),
@@ -470,7 +502,7 @@ def oracle_joint_chain(models, priors, policy, data, config):
     modes, chols, q_consts, step_sds, targets = [], [], [], [], []
     for i, m in enumerate(models):
         prior = priors[m]
-        L_V, W_V, const = _factor_prior(prior)
+        W_V, _, _, const = _factor_prior(prior, prior.d)
         targets.append(_log_target(lw[i], prior.mu, W_V, const,
                                    likelihoods[m].loglik))
         fit, L, _, _ = _map_laplace(likelihoods[m], prior)
