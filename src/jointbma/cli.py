@@ -30,8 +30,9 @@ from .datasets import load_contingency_csv, load_linear_csv, simulate_dfn, \
 from .exceptions import CapacityError, ContractError, ConvergenceError, \
     DegenerateDataError, NumericalDomainError, ParseError, SpecificationError
 from .glm_laplace import term_block_prior
-from .linear_exact import LinearDataset, _identity_log_targets, \
-    all_subsets_stats, cv_score_from_lpd, gprior_sweep, loo_log_predictives
+from .linear_exact import LinearDataset, _gprior_rows, \
+    _identity_log_targets, all_subsets_stats, cv_score_from_lpd, \
+    loo_log_predictives
 from .model_space import enumerate_hierarchical_models
 from .param_priors import prior_for_linear_model
 from .rj_sampler import SamplerConfig, _policy_weights, \
@@ -181,30 +182,32 @@ def _top_positions(probs, k):
     return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
 
 
-def _gprior_sweeps(cfg, data, grid):
-    """data's all-subsets statistics, and each policy's sweep, lazily."""
+def _policy_rows(cfg, data, grid):
+    """data's all-subsets statistics, and each policy's lazy _gprior_rows."""
     if cfg.prior.template != "gprior":
         raise SpecificationError(
             f"{cfg.task} uses the closed-form g-prior route; set [prior] "
             "template=gprior")
     stats = all_subsets_stats(data)
-    return stats, (gprior_sweep(stats, grid, policy, cfg.prior.alpha,
-                                cfg.prior.lam) for policy in cfg.policies)
+    return stats, [_gprior_rows(stats, grid, policy, cfg.prior.alpha,
+                                cfg.prior.lam) for policy in cfg.policies]
 
 
 def run_sweep(cfg):
     """Whole-space g-prior posterior across the c^2 grid and policies.
 
     The all-subsets statistics are computed once and shared by every
-    policy's gprior_sweep; rows come out in deterministic policy-major,
-    grid-minor order.
+    policy. Each grid point's row is formatted before the next is
+    computed, so memory grows with the 2^p x p membership matrix, not
+    with grid length or policy count. Rows come out in deterministic
+    policy-major, grid-minor order.
     """
     data = _load_linear(cfg)
     if cfg.prior.c2_grid is None:
         raise ParseError("[prior] c2_grid is required for sweep")
     _check_cap(data, MAX_CLI_ENUM, "sweep enumerates 2^p subsets; p={p} "
                "exceeds the command-line cap of {cap}")
-    stats, sweeps = _gprior_sweeps(cfg, data, cfg.prior.c2_grid)
+    stats, policy_rows = _policy_rows(cfg, data, cfg.prior.c2_grid)
     watch = [(w, stats.models.position(w)) for w in cfg.sweep.watch]
     for w, pos in watch:
         if pos is None:
@@ -214,16 +217,16 @@ def run_sweep(cfg):
 
     rows = []
     top_k = min(cfg.sweep.top_k, len(stats.models))
-    for policy, sweep in zip(cfg.policies, sweeps):
-        for gi, c2 in enumerate(sweep.c2_grid):
-            probs = np.exp(sweep.log_posterior[gi])
+    for policy, grid_rows in zip(cfg.policies, policy_rows):
+        for c2, _, posterior in grid_rows:
+            probs = posterior.probs
             for pos in _top_positions(probs, top_k):
                 rows.append((policy.variant, float(c2), "model",
                              stats.models[pos].label(), float(probs[pos])))
             for w, pos in watch:
                 rows.append((policy.variant, float(c2), "watch", w.label(),
                              float(probs[pos])))
-            inclusion = inclusion_probs(sweep.posterior_at(gi), data.p)
+            inclusion = inclusion_probs(posterior, data.p)
             for j in range(data.p):
                 rows.append((policy.variant, float(c2), "inclusion",
                              data.labels[j], float(inclusion[j])))
@@ -235,8 +238,8 @@ def run_sweep(cfg):
             policy=",".join(p.variant for p in cfg.policies),
             prior_template=cfg.prior.template,
             alpha=cfg.prior.alpha, **{"lambda": cfg.prior.lam},
-            convention=sweep.convention, n=data.n, p=data.p, top_k=top_k,
-            c2_grid=",".join(_fmt(v) for v in sweep.c2_grid)))
+            convention=posterior.convention, n=data.n, p=data.p, top_k=top_k,
+            c2_grid=",".join(_fmt(v) for v in cfg.prior.c2_grid)))
 
 
 def _cmd_cv(cfg):
@@ -255,18 +258,18 @@ def _cmd_cv(cfg):
     grid = cfg.prior.c2_grid
     if grid is None:
         grid = np.array([cfg.prior.c2])
-    stats, sweeps = _gprior_sweeps(cfg, data, grid)
-    sweeps = list(sweeps)
+    stats, policy_rows = _policy_rows(cfg, data, grid)
+    # Every policy's rows are computed before any leave-one-out work.
+    posteriors = [[q for _, _, q in grid_rows] for grid_rows in policy_rows]
     rng = None
     if cfg.cv.mode == "gelfand":
         rng = np.random.Generator(np.random.Philox(cfg.seed))
 
     models = list(stats.models)
-    sweep = sweeps[0]
     # The leave-one-out predictives depend on c2 but not on the model
     # prior, so every policy re-weights one matrix per grid point.
-    scores = [[] for _ in sweeps]
-    for gi, c2 in enumerate(sweep.c2_grid):
+    scores = [[] for _ in posteriors]
+    for gi, c2 in enumerate(grid):
         priors = {m: prior_for_linear_model(data.X, m, c2,
                                             alpha=cfg.prior.alpha,
                                             lam=cfg.prior.lam)
@@ -274,12 +277,12 @@ def _cmd_cv(cfg):
         lpd = loo_log_predictives(models, data, priors,
                                   mode=cfg.cv.mode, rng=rng,
                                   num_draws=cfg.cv.num_draws)
-        for policy_scores, policy_sweep in zip(scores, sweeps):
+        for policy_scores, policy_posteriors in zip(scores, posteriors):
             policy_scores.append(cv_score_from_lpd(
-                policy_sweep.posterior_at(gi), lpd, cfg.cv.mode).total)
+                policy_posteriors[gi], lpd, cfg.cv.mode).total)
     rows = [(policy.variant, float(c2), score)
             for policy, policy_scores in zip(cfg.policies, scores)
-            for c2, score in zip(sweep.c2_grid, policy_scores)]
+            for c2, score in zip(grid, policy_scores)]
     return ResultTable(
         columns=("policy", "c2", "S"),
         rows=rows,
@@ -287,7 +290,8 @@ def _cmd_cv(cfg):
             cfg, mode=cfg.cv.mode,
             policy=",".join(p.variant for p in cfg.policies),
             prior_template=cfg.prior.template, alpha=cfg.prior.alpha,
-            **{"lambda": cfg.prior.lam}, convention=sweep.convention,
+            **{"lambda": cfg.prior.lam},
+            convention=posteriors[0][-1].convention,
             num_draws=cfg.cv.num_draws if cfg.cv.mode == "gelfand" else 0,
             n=data.n, p=data.p))
 
@@ -336,8 +340,8 @@ def _cmd_rjmcmc(cfg):
             models, targets = _identity_log_targets(
                 data, policy, cfg.prior.c2, cfg.prior.alpha, cfg.prior.lam)
         elif cfg.prior.template == "gprior":
-            stats, sweeps = _gprior_sweeps(cfg, data, [cfg.prior.c2])
-            models, targets = stats.models, next(sweeps).log_weights[0]
+            stats, (grid_rows,) = _policy_rows(cfg, data, [cfg.prior.c2])
+            models, targets = stats.models, next(grid_rows)[1]
         else:
             raise ParseError(
                 "linear sampling uses [prior] template=gprior or identity")

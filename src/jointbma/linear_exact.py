@@ -21,10 +21,10 @@ determinant ratio to -(d/2) log(1 + n c^2) and s to a function of the
 fit R^2 alone, which is what makes whole-space sweeps over 2^p models
 cheap: one batched least-squares pass yields every marginal for every
 dispersion scale, and log_marginal_gprior_closed is that pass on one
-model. gprior_sweep alone adds the model weights to those marginals;
-sweep, cv and g-prior rjmcmc all take their weights from it. Every
-route takes its value from _log_marginals, which applies _residual's
-rules to s.
+model. _gprior_rows alone adds the model weights to those marginals,
+one c^2 at a time; gprior_sweep stacks its rows, and sweep, cv and
+g-prior rjmcmc take their weights from it. Every route takes its value
+from _log_marginals, which applies _residual's rules to s.
 
 The conjugate update has two parts: _prior_terms, which depends on the
 prior alone, and _update, which applies one design and response to it.
@@ -488,31 +488,37 @@ def _gprior_log_weights(policy, stats, c2):
     return baseline + 0.5 * stats.d * log(c2)
 
 
+def _gprior_rows(stats, c2_grid, policy, alpha=0.0, lam=0.0):
+    """Yield (c2, log weights, ModelPosterior) over every subset in stats
+    for one c^2 of c2_grid at a time (see _gprior_log_weights). Errors
+    raised at a grid point are re-raised annotated with that point."""
+    for c2 in c2_grid:
+        try:
+            lm, convention = gprior_log_marginals(stats, c2, alpha, lam)
+        except JointBmaError as exc:
+            raise type(exc)(f"grid point c2={c2:.17g}: {exc}") from exc
+        row = _gprior_log_weights(policy, stats, c2) + lm
+        yield c2, row, ModelPosterior(stats.models, row - log_sum_exp(row),
+                                      convention)
+
+
 def gprior_sweep(data, c2_grid, policy, alpha=0.0, lam=0.0):
     """Whole-space posterior as a function of the dispersion scale.
 
     data is a LinearDataset, or the AllSubsets statistics built from one
-    so that several policies can share a single all-subsets pass. Every
-    policy variant has a closed form (see _gprior_log_weights). Errors
-    raised at a grid point are re-raised annotated with that point.
+    so that several policies can share a single all-subsets pass. Errors
+    raised at a grid point name that point (see _gprior_rows).
     """
     c2_grid = np.atleast_1d(np.asarray(c2_grid, dtype=float))
     if c2_grid.size == 0:
         raise ContractError("c2_grid must contain positive scales")
     stats = data if isinstance(data, AllSubsets) else all_subsets_stats(data)
-    log_weights = np.zeros((c2_grid.size, len(stats.models)))
-    convention = None
-    for gi, c2 in enumerate(c2_grid):
-        try:
-            lm, convention = gprior_log_marginals(stats, c2, alpha, lam)
-        except JointBmaError as exc:
-            raise type(exc)(f"grid point c2={c2:.17g}: {exc}") from exc
-        log_weights[gi] = _gprior_log_weights(policy, stats, c2) + lm
-    log_post = log_weights - np.array([log_sum_exp(row)
-                                       for row in log_weights])[:, None]
+    _, log_weights, posts = zip(
+        *_gprior_rows(stats, c2_grid, policy, alpha, lam))
     return SweepResult(models=stats.models, c2_grid=c2_grid,
-                       log_weights=log_weights, log_posterior=log_post,
-                       convention=convention)
+                       log_weights=np.array(log_weights),
+                       log_posterior=np.array([q.log_probs for q in posts]),
+                       convention=posts[-1].convention)
 
 
 def _identity_log_targets(data, policy, c2, alpha=0.0, lam=0.0):

@@ -11,6 +11,7 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 from hypothesis import given, strategies as st
@@ -19,8 +20,11 @@ import pytest
 
 import jointbma
 from jointbma import LinearDataset
+from jointbma import linear_exact
 from jointbma._linalg import log_sum_exp
-from jointbma.cli import _top_positions, main
+from jointbma.averaging import inclusion_probs
+from jointbma.cli import _top_positions, main, run_sweep
+from jointbma.config import load_config, parse_model_label
 from jointbma.datasets import load_linear_csv, simulate_nott_kohn, \
     write_linear_csv
 from jointbma.exceptions import ConvergenceError, DegenerateDataError, \
@@ -161,19 +165,29 @@ def test_top_positions_equal_stable_argsort(values, k):
         np.argsort(-probs, kind="stable")[:k].tolist()
 
 
-def test_sweep_labels_only_printed_models(tmp_path, capsys, monkeypatch):
+def sweep_config(tmp_path, grid, p=12, prior="", top_k=4,
+                 policy="variants = uniform, adjusted_c", task="sweep"):
+    """(data path, config path) of a task on seeded 40 x p data over
+    c2_grid = 1e0,1e8,grid, watching 1+X1 and 1+X1+X4."""
     rng = np.random.Generator(np.random.Philox(6))
-    X = rng.standard_normal((40, 10))
-    data = LinearDataset(y=X[:, 0] - X[:, 3] + rng.standard_normal(40), X=X)
+    X = rng.standard_normal((40, p))
     data_path = str(tmp_path / "data.csv")
-    write_linear_csv(data, data_path)
-    top_k, grid, policies, watch = 4, 3, ("uniform", "adjusted_c"), 2
-    cfg = write_config(tmp_path, (
-        "[experiment]\ntask = sweep\n\n"
+    write_linear_csv(LinearDataset(y=X[:, 0] - X[:, 3] +
+                                   rng.standard_normal(40), X=X), data_path)
+    return data_path, write_config(tmp_path, (
+        f"[experiment]\ntask = {task}\n\n"
         f"[data]\nsource = csv\npath = {data_path}\n\n"
-        f"[prior]\ntemplate = gprior\nc2_grid = 1e0,1e8,{grid}\n\n"
-        f"[policy]\nvariants = {', '.join(policies)}\n\n"
-        f"[sweep]\ntop_k = {top_k}\nwatch = 1+X1, 1+X1+X4\n"))
+        f"[prior]\ntemplate = gprior\nc2_grid = 1e0,1e8,{grid}\n{prior}\n"
+        f"[policy]\n{policy}\n\n"
+        f"[sweep]\ntop_k = {top_k}\nwatch = 1+X1, 1+X1+X4\n"),
+        name=f"sweep{grid}.ini")
+
+
+def test_sweep_labels_only_printed_models(tmp_path, capsys, monkeypatch):
+    top_k, grid, policies, watch = 4, 3, ("uniform", "adjusted_c"), 2
+    data_path, cfg = sweep_config(
+        tmp_path, grid, p=10, top_k=top_k,
+        policy=f"variants = {', '.join(policies)}")
     calls = [0]
     real = ModelId.linear.__func__
 
@@ -201,6 +215,92 @@ def test_sweep_labels_only_printed_models(tmp_path, capsys, monkeypatch):
                           "%.17g" % probs[i]]
                          for i in np.argsort(-probs, kind="stable")[:top_k]]
     assert [r for r in rows if r[2] == "model"] == expected
+
+
+def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
+    # Each grid point's row is formatted before the next is computed, so
+    # the peak holds a few rows of 2^12 and the output table, whatever the
+    # grid length; keeping 30 rows of log weights and log posteriors for
+    # each of 2 policies would add about 3.9 MB.
+    def peak(grid):
+        cfg = load_config(sweep_config(tmp_path, grid)[1])
+        run_sweep(cfg)
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(30) - peak(3) < 0.5e6
+
+
+def test_sweep_rows_equal_the_stacked_sweep(tmp_path, capsys):
+    # Every record the streamed sweep prints, against a table built from
+    # gprior_sweep's stacked matrices, under a proper sigma^2 prior and a
+    # dimension baseline.
+    variants = ("uniform", "adjusted_exact", "adjusted_info")
+    grid, top_k, p = 21, 5, 6
+    data_path, cfg = sweep_config(
+        tmp_path, grid, p=p, prior="alpha = 2\nlambda = 3\n", top_k=top_k,
+        policy=f"variants = {', '.join(variants)}\nbaseline = dimension\n"
+        "log_weight = -0.3")
+    assert main(["sweep", "--config", cfg]) == 0
+    prov, _, rows = read_csv_output(capsys.readouterr().out)
+
+    stored = load_linear_csv(data_path)
+    stats = all_subsets_stats(stored)
+    watch = [parse_model_label(w) for w in ("1+X1", "1+X1+X4")]
+    expected = []
+    for variant in variants:
+        policy = ModelPriorPolicy(variant=variant,
+                                  baseline=Baseline.dimension(-0.3))
+        sweep = gprior_sweep(stats, np.geomspace(1.0, 1e8, grid), policy,
+                             2.0, 3.0)
+        for gi, c2 in enumerate(sweep.c2_grid):
+            probs = np.exp(sweep.log_posterior[gi])
+            head = [variant, "%.17g" % c2]
+            expected += [head + ["model", stats.models[i].label(),
+                                 "%.17g" % probs[i]]
+                         for i in np.argsort(-probs, kind="stable")[:top_k]]
+            expected += [head + ["watch", w.label(),
+                                 "%.17g" % probs[stats.models.position(w)]]
+                         for w in watch]
+            inclusion = inclusion_probs(sweep.posterior_at(gi), p)
+            expected += [head + ["inclusion", stored.labels[j],
+                                 "%.17g" % inclusion[j]] for j in range(p)]
+    assert rows == expected
+    assert prov["convention"] == sweep.convention == "proper"
+    assert prov["c2_grid"] == ",".join("%.17g" % c2 for c2 in sweep.c2_grid)
+
+
+@pytest.mark.parametrize("task", ["sweep", "cv"])
+def test_a_failure_inside_the_grid_writes_nothing(tmp_path, capsys,
+                                                  monkeypatch, task):
+    # The second policy fails at an interior grid point, after the first
+    # policy's rows have been computed: the run exits with the annotated
+    # error and leaves no partial output behind.
+    grid = np.geomspace(1.0, 1e8, 5)
+    calls = [0]
+    real = linear_exact.gprior_log_marginals
+
+    def failing(stats, c2, *args):
+        calls[0] += 1
+        if calls[0] == grid.size + 3:
+            raise NumericalDomainError("injected failure")
+        return real(stats, c2, *args)
+
+    monkeypatch.setattr(linear_exact, "gprior_log_marginals", failing)
+    # cv computes every policy's rows before any leave-one-out work.
+    monkeypatch.setattr(jointbma.cli, "loo_log_predictives",
+                        lambda *args, **kwargs: pytest.fail("LOO began"))
+    _, cfg = sweep_config(tmp_path, grid.size, p=4, task=task)
+    assert main([task, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        f"numerical error: grid point c2={grid[2]:.17g}: injected failure\n")
+    assert calls[0] == grid.size + 3
+    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_simulate_roundtrip_through_cv(tmp_path, capsys):
@@ -267,7 +367,6 @@ def test_cv_gelfand_runs_with_seed(tmp_path, capsys):
 def test_cv_policies_share_one_loo_matrix_per_grid_point(
         tmp_path, capsys, monkeypatch, mode):
     from jointbma import cli as cli_module
-    from jointbma import linear_exact
 
     data_path = str(tmp_path / "data.csv")
     write_linear_csv(small_dataset(n=20, p=2), data_path)
