@@ -10,8 +10,9 @@ timestamp: re-running a config rewrites files byte-identically. CSV
 provenance rides in leading '# key=value' comment lines, which the CSV
 loaders skip on re-ingestion.
 
-Exit codes: 0 success; 2 parse or config error, or a request that does
-not fit in memory; 3 numerical-domain error; 4 non-convergence.
+Exit codes: 0 success; 2 parse or config error, an output file that
+cannot be written, or a request that does not fit in memory; 3
+numerical-domain error; 4 non-convergence.
 """
 import argparse
 from dataclasses import dataclass, field
@@ -95,10 +96,14 @@ def _emit(table, cfg):
         for suffix in (".csv", ".json"):
             if stem.endswith(suffix):
                 stem = stem[:-len(suffix)]
-        with open(stem + ".csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write(table.to_csv())
-        with open(stem + ".json", "w", encoding="utf-8", newline="") as fh:
-            fh.write(table.to_json())
+        for suffix, render in ((".csv", table.to_csv),
+                               (".json", table.to_json)):
+            path, text = stem + suffix, render()
+            try:
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ParseError(f"cannot write {path}: {exc}") from exc
         return
     text = table.to_csv() if cfg.fmt == "csv" else table.to_json()
     sys.stdout.write(text)

@@ -10,7 +10,15 @@ map them to its config-error exit code.
 """
 import configparser
 from dataclasses import dataclass, field, replace
-import hashlib
+# The interpreter's built-in SHA-256 gives hashlib's digest without
+# loading OpenSSL, which costs a short run several MB resident.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -324,9 +332,11 @@ def load_config(path, seed_override=None, out_override=None,
         parser.read_string(raw)
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config {path} is not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
         raise ParseError(f"malformed config {path}: {exc}") from exc
-    digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
+    digest = sha256(raw.encode("utf-8")).hexdigest()
 
     experiment = _keys(parser, "experiment", required=True)
     task = _get(experiment, "task", _TASK, required=task_override is None)

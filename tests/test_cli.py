@@ -2,9 +2,10 @@
 
 All invocations run in-process through main(argv) so exit codes and
 stdout/stderr are observable without spawning an interpreter; only the
-import-footprint check starts a fresh one.
+import-footprint checks start a fresh one.
 """
 import csv
+import importlib.util
 import itertools
 import json
 import os
@@ -1012,6 +1013,13 @@ def test_exit_code_2_paths(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "nope.ini")]) == 2
     assert "error:" in capsys.readouterr().err
 
+    # A config that is not UTF-8 text: one line, no traceback.
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes(b"[experiment]\ntask = shrinkage\n# caf\xe9\n")
+    assert main(["shrinkage", "--config", str(latin1)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: config {latin1} is not UTF-8 text: ")
+
     # Config/task mismatch.
     cfg = write_config(tmp_path, "[experiment]\ntask = cv\nseed = 1\n")
     assert main(["sweep", "--config", cfg]) == 2
@@ -1064,6 +1072,27 @@ def test_exit_code_2_paths(tmp_path, capsys):
         f"[data]\nsource = csv\npath = {wide_path}\n"), name="wide.ini")
     assert main(["cv", "--config", cfg]) == 2
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, (
+        "[experiment]\ntask = shrinkage\n\n"
+        "[shrinkage]\ninv_c2_grid = 1e-4,1e-2,3\n"))
+    stem = tmp_path / "missing" / "out"
+    assert main(["shrinkage", "--config", cfg, "--out", str(stem)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: cannot write {stem}.csv: ")
+
+    # The files are written in turn: a .json that cannot be written
+    # leaves the .csv already written behind.
+    stem = tmp_path / "half"
+    (tmp_path / "half.json").mkdir()
+    assert main(["shrinkage", "--config", cfg, "--out", str(stem)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: cannot write {stem}.json: ")
+    assert (tmp_path / "half.csv").read_text().startswith("# task=shrinkage\n")
 
 
 def test_exit_code_3_degenerate_response(tmp_path, capsys):
@@ -1625,13 +1654,50 @@ def test_argparse_rejects_unknown_task():
     assert exc.value.code == 2
 
 
-def test_cli_import_does_not_load_scipy():
-    # scipy is a test-only dependency; the package must run without it.
+def run_fresh_interpreter(code):
+    """stdout of `code` run by a new interpreter that imports this
+    checkout's package."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(jointbma.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    code = "import sys, jointbma.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency; the package must run without it.
+    code = "import sys, jointbma.cli; print('scipy' in sys.modules)"
+    assert run_fresh_interpreter(code).strip() == "False"
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="this interpreter has no built-in SHA-256 module")
+def test_tasks_without_random_draws_do_not_load_openssl(tmp_path):
+    # The config digest comes from the interpreter's built-in SHA-256, so
+    # only the tasks that draw random numbers (numpy.random imports
+    # secrets, hence hmac and OpenSSL) pay for loading libcrypto.
+    data_path = str(tmp_path / "data.csv")
+    write_linear_csv(small_dataset(n=20, p=2), data_path)
+    data = f"[data]\nsource = csv\npath = {data_path}\n\n"
+    configs = {
+        "sweep": data + "[prior]\nc2_grid = 1,100,2\n",
+        "cv": data + "[prior]\nc2 = 10\n\n[cv]\nmode = exact\n",
+        "shrinkage": "[shrinkage]\ninv_c2_grid = 1e-4,1e-2,3\n",
+        "prior-probs": ("[space]\nfactors = R:2, C:2\nforced = 1, R, C\n"
+                        "candidates = R*C\n\n"
+                        "[prior]\ntemplate = term_blocks\n"),
+    }
+    argvs = []
+    for task, text in configs.items():
+        cfg = write_config(tmp_path,
+                           f"[experiment]\ntask = {task}\n\n{text}",
+                           name=f"{task}.ini")
+        argvs.append([task, "--config", cfg, "--out", str(tmp_path / task)])
+    code = ("import sys\nfrom jointbma.cli import main\n"
+            f"print([main(argv) for argv in {argvs!r}])\n"
+            "print(sorted(m for m in ('_hashlib', 'numpy.random')"
+            " if m in sys.modules))\n")
+    assert run_fresh_interpreter(code).splitlines() == ["[0, 0, 0, 0]", "[]"]

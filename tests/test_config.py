@@ -68,6 +68,10 @@ def test_full_config_round_trip(tmp_path):
     assert cfg.sweep.watch == (ModelId.linear([3, 4], intercept=True),
                                ModelId.linear([], intercept=True))
     assert cfg.config_hash == hashlib.sha256(text.encode()).hexdigest()
+    # Non-ASCII text hashes as its UTF-8 bytes, as hashlib's digest does.
+    text += "# c² ≥ 1e2, Größe ✓\n"
+    cfg = load_config(write(tmp_path, text, name="utf8.ini"))
+    assert cfg.config_hash == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_minimal_config_defaults(tmp_path):
@@ -302,6 +306,13 @@ def test_rejected_configs(tmp_path, text, pattern):
 def test_unreadable_path(tmp_path):
     with pytest.raises(ParseError, match="cannot read config"):
         load_config(str(tmp_path / "missing.ini"))
+
+
+def test_non_utf8_config_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"[experiment]\ntask = shrinkage\n# caf\xe9\n")
+    with pytest.raises(ParseError, match="is not UTF-8 text"):
+        load_config(str(path))
 
 
 def test_hash_tracks_exact_bytes(tmp_path):
