@@ -44,7 +44,7 @@ from ._linalg import check_factor, chol_factor, chol_solve, cholesky, \
 from .averaging import LogMarginal, ModelPosterior
 from .exceptions import ContractError, DegenerateDataError, JointBmaError, \
     NumericalDomainError, SpecificationError
-from .model_space import LinearSubsets, model_lookup
+from .model_space import LinearSubsets, _log_weights, model_lookup
 from .param_priors import _check_c2, _check_covariates, \
     _check_sigma2_prior, _factor_prior, linear_design
 
@@ -474,30 +474,20 @@ class SweepResult:
         return [self.models[i] for i in np.argmax(self.log_posterior, axis=1)]
 
 
-def _gprior_log_weights(policy, stats, c2):
-    """Log prior weight of every subset under the g-prior base at c^2.
-    The base metric inverts the unit information, so each adjustment
-    depends on the model only through d: (d/2) log c^2 for adjusted_c,
-    adjusted_info and loglinear_adjusted, and (d/2) log(c^2 + 1/n) for
-    adjusted_exact."""
-    baseline = policy.baseline._log_p_all(stats.models)
-    if policy.variant == "uniform":
-        return baseline
-    if policy.variant == "adjusted_exact":
-        c2 = c2 + 1.0 / stats.n
-    return baseline + 0.5 * stats.d * log(c2)
-
-
 def _gprior_rows(stats, c2_grid, policy, alpha=0.0, lam=0.0):
     """Yield (c2, log weights, ModelPosterior) over every subset in stats
-    for one c^2 of c2_grid at a time (see _gprior_log_weights). Errors
-    raised at a grid point are re-raised annotated with that point."""
+    for one c^2 of c2_grid at a time. The base metric inverts i, so
+    log|V| + log|i| = d log c^2, and d log(c^2 + 1/n) with i + V^{-1}/n.
+    Errors raised at a grid point are re-raised annotated with it."""
     for c2 in c2_grid:
         try:
             lm, convention = gprior_log_marginals(stats, c2, alpha, lam)
         except JointBmaError as exc:
             raise type(exc)(f"grid point c2={c2:.17g}: {exc}") from exc
-        row = _gprior_log_weights(policy, stats, c2) + lm
+        log_w = _log_weights(
+            policy, stats.models, c2,
+            lambda exact: stats.d * log(c2 + 1.0 / stats.n if exact else c2))
+        row = log_w + lm
         yield c2, row, ModelPosterior(stats.models, row - log_sum_exp(row),
                                       convention)
 
@@ -535,7 +525,6 @@ def _identity_log_targets(data, policy, c2, alpha=0.0, lam=0.0):
     n, yty = data.n, data.yty
     c2 = _check_c2(c2)
     models = LinearSubsets(data.p, intercept=True)
-    log_w = policy.baseline._log_p_all(models)
     info = policy.variant in ("adjusted_info", "loglinear_adjusted")
     # M = [A b; b' 2y'y + 1] factors to [L 0; z' sqrt(y'y + s + 1)], with
     # z = L^{-1}b, so only A can fail it, at any fit and at y = 0.
@@ -559,11 +548,9 @@ def _identity_log_targets(data, policy, c2, alpha=0.0, lam=0.0):
 
     d = models.d
     ld_v = d * log(c2)
-    if policy.variant == "adjusted_c":
-        log_w += 0.5 * ld_v
-    elif info:
-        log_w += 0.5 * (ld_v + ld_g - d * log(n))
-    elif policy.variant == "adjusted_exact":
-        log_w += 0.5 * (ld_v + ld_a - d * log(n))
+    # log|i| = log|G| - d log n, and i + V^{-1}/n = A/n.
+    log_w = _log_weights(
+        policy, models, c2,
+        lambda exact: ld_v + (ld_a if exact else ld_g) - d * log(n))
     log_ml = _log_marginals(n, yty, 0.5 * (ld_a + ld_v), alpha, lam, s)[0]
     return models, log_w + log_ml

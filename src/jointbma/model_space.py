@@ -14,7 +14,8 @@ Prior model weights implement the dispersion-adjusted policies
 where V = c^2 Sigma is the parameter prior variance and i the unit
 information matrix. Tying the model weight to the prior dispersion keeps
 posterior model probabilities stable as the parameter prior flattens,
-instead of collapsing onto the smallest model.
+instead of collapsing onto the smallest model. _log_weights is the
+table's one implementation, for one model or a whole LinearSubsets space.
 """
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -49,13 +50,9 @@ MAX_ENUM_COVARIATES = 25
 LINEAR = "linear-subset"
 LOGLINEAR = "loglinear-termset"
 
-POLICY_VARIANTS = (
-    "uniform",
-    "adjusted_c",
-    "adjusted_info",
-    "adjusted_exact",
-    "loglinear_adjusted",
-)
+# The variants whose weight needs an information matrix.
+INFO_VARIANTS = ("adjusted_info", "adjusted_exact", "loglinear_adjusted")
+POLICY_VARIANTS = ("uniform", "adjusted_c") + INFO_VARIANTS
 
 
 def _term_label(term):
@@ -404,33 +401,31 @@ class Baseline:
         return cls(kind="table", table=items)
 
     def log_p(self, m):
-        if self.kind != "table":
-            return self._log_p_all(m)
-        try:
-            return float(self._table_index[m])
-        except KeyError:
-            raise ContractError(
-                f"model {m.label()} missing from baseline table") from None
-
-    def _log_p_all(self, models):
-        """log p over a LinearSubsets space, or of one model: one evaluation
-        over models.d, or model by model for a table. A rule that
-        overflows at some d of the space is a NumericalDomainError."""
+        """log p of one model m, or of every model of a LinearSubsets
+        space m as an array: a table model by model, any other rule in one
+        evaluation over m.d. A rule that overflows at some d of the
+        space is a NumericalDomainError."""
         if self.kind == "table":
-            return np.array([self.log_p(m) for m in models])
+            if isinstance(m, LinearSubsets):
+                return np.array([self.log_p(model) for model in m])
+            try:
+                return float(self._table_index[m])
+            except KeyError:
+                raise ContractError(f"model {m.label()} missing from "
+                                    "baseline table") from None
         with np.errstate(over="ignore"):
             if self.kind == "constant":
-                log_p = models.d * 0.0
+                log_p = m.d * 0.0
             elif self.kind == "dimension":
-                log_p = models.d * self.log_weight
+                log_p = m.d * self.log_weight
             elif self.kind == "calibrated":
-                log_p = calibrate_p(models.d, self.n0, self.psi0)
+                log_p = calibrate_p(m.d, self.n0, self.psi0)
             else:
                 raise SpecificationError(f"unknown baseline kind {self.kind!r}")
         if not np.all(np.isfinite(log_p)):
             raise NumericalDomainError(
                 f"the {self.kind} baseline's log p(m) overflows at "
-                f"d = {np.max(models.d)}")
+                f"d = {np.max(m.d)}")
         return log_p
 
     @cached_property
@@ -468,30 +463,43 @@ def calibrate_p(d, n0, psi0):
     return 0.5 * d * (math.log(n0) - psi0)
 
 
+def _log_weights(policy, models, c2, logdet):
+    """The table above for one model, or every model of a LinearSubsets
+    space: baseline log p(m) plus the variant's adjustment at dispersion
+    c2 (None without a parameter prior). Only the INFO_VARIANTS call
+    logdet(exact), for log|V| + log|i|, or log|V| + log|i + V^{-1}/n| when
+    exact; loglinear_adjusted is adjusted_info with i = X'Diag(l0)X / n."""
+    log_p = policy.baseline.log_p(models)
+    variant = policy.variant
+    if variant == "uniform":
+        return log_p
+    if c2 is None:
+        raise ContractError(f"policy {variant!r} requires a parameter prior")
+    if variant == "adjusted_c":
+        return log_p + models.d * 0.5 * math.log(c2)
+    return log_p + 0.5 * logdet(variant == "adjusted_exact")
+
+
 def log_prior_model_weight(m, policy, prior=None, info=None):
     """Unnormalized log prior weight of model m under a policy.
 
     prior supplies V = c^2 Sigma (needed by the adjusted variants); info
     supplies the unit information matrix i and the sample size (needed by
-    the information-based variants). Determinants are evaluated in log
-    space through the shared factorization kernel.
+    the INFO_VARIANTS), both of m's dimension. Determinants are evaluated
+    in log space through the shared factorization kernel.
     """
-    lp = policy.baseline.log_p(m)
-    variant = policy.variant
-    if variant == "uniform":
-        return lp
-    if prior is None:
-        raise ContractError(f"policy {variant!r} requires a parameter prior")
-    if variant == "adjusted_c":
-        return lp + m.d * 0.5 * math.log(prior.c2)
-    if info is None:
-        raise ContractError(f"policy {variant!r} requires an information source")
-    _, v_inv, ld_v, _ = _factor_prior(prior, m.d)
-    if variant in ("adjusted_info", "loglinear_adjusted"):
-        # The log-linear form (1/2)log|V| + (1/2)log|X'Diag(l0)X| -
-        # (d/2) log n is the same quantity: the cell-count powers cancel
-        # against the unit normalization of the information matrix.
-        return lp + 0.5 * (ld_v + info.logdet())
-    # adjusted_exact, the one variant left: ModelPriorPolicy admits no other.
-    mat = info.matrix() + v_inv / info.n
-    return lp + 0.5 * (ld_v + chol_logdet(mat, "i + n^{-1}V^{-1}"))
+    def logdet(exact):
+        if info is None:
+            raise ContractError(
+                f"policy {policy.variant!r} requires an information source")
+        _, v_inv, ld_v, _ = _factor_prior(prior, m.d)
+        mat = info.matrix()
+        if len(mat) != m.d:
+            raise ContractError(f"likelihood dimension {m.d} does not match "
+                                f"information dimension {len(mat)}")
+        if exact:
+            return ld_v + chol_logdet(mat + v_inv / info.n,
+                                      "i + n^{-1}V^{-1}")
+        return ld_v + info.logdet()
+    return _log_weights(policy, m, None if prior is None else prior.c2,
+                        logdet)

@@ -38,7 +38,7 @@ from .exceptions import ContractError
 from .glm_laplace import ContingencyTable, PoissonLogLinear, _map_laplace, \
     unit_info_for_model
 from .linear_exact import LinearDataset, log_marginal_nig
-from .model_space import FactorSpec, LinearSubsets, \
+from .model_space import INFO_VARIANTS, FactorSpec, LinearSubsets, \
     log_prior_model_weight, model_lookup
 from .param_priors import InformationSource, _log_density_factored, \
     linear_design
@@ -213,11 +213,10 @@ def _walk(models, config):
 
 def _policy_weights(models, priors, policy, data):
     """Log prior weight of every model under a policy. The information
-    the adjusted variants need comes from data: a ContingencyTable or a
+    the INFO_VARIANTS need comes from data: a ContingencyTable or a
     FactorSpec (Poisson information at the prior mean) or a
     LinearDataset."""
-    needs_info = policy.variant in ("adjusted_info", "adjusted_exact",
-                                    "loglinear_adjusted")
+    needs_info = policy.variant in INFO_VARIANTS
     if needs_info and not isinstance(
             data, (ContingencyTable, FactorSpec, LinearDataset)):
         raise ContractError(

@@ -15,10 +15,11 @@ from jointbma.averaging import ModelPosterior
 from jointbma.exceptions import CapacityError, ContractError, \
     NumericalDomainError, SpecificationError
 from jointbma.linear_exact import SweepResult
-from jointbma.model_space import LINEAR, POLICY_VARIANTS, Baseline, \
-    FactorSpec, LinearSubsets, ModelId, ModelPriorPolicy, calibrate_p, \
-    enumerate_hierarchical_models, enumerate_linear_models, \
-    is_hierarchical, log_prior_model_weight, term_margins
+from jointbma.model_space import INFO_VARIANTS, LINEAR, POLICY_VARIANTS, \
+    Baseline, FactorSpec, LinearSubsets, ModelId, ModelPriorPolicy, \
+    _log_weights, calibrate_p, enumerate_hierarchical_models, \
+    enumerate_linear_models, is_hierarchical, log_prior_model_weight, \
+    term_margins
 from jointbma.param_priors import InformationSource, ParamPrior
 from jointbma.rj_sampler import _neighbor_lists
 
@@ -224,7 +225,7 @@ def test_baseline_overflow_is_a_domain_error():
     for base in (Baseline.dimension(1e308), Baseline.dimension(-1e308),
                  Baseline.calibrated(24.0, 1e308)):
         with pytest.raises(NumericalDomainError, match="overflows at d = 4"):
-            base._log_p_all(space)
+            base.log_p(space)
         with pytest.raises(NumericalDomainError):
             base.log_p(space[-1])
         assert np.isfinite(base.log_p(ModelId.linear([])))
@@ -310,6 +311,71 @@ def test_policy_weight_needs_information_and_a_prior_of_its_dimension():
                                  "prior dimension 2$"):
             log_prior_model_weight(m, policy, prior=_toy_prior(rng, 2, 2.0),
                                    info=info)
+    # An information matrix of another dimension is rejected as a prior
+    # of another dimension is, under each variant that reads it.
+    small = InformationSource.linear(rng.standard_normal((20, 2)))
+    for variant in ("adjusted_info", "adjusted_exact", "loglinear_adjusted"):
+        policy = ModelPriorPolicy(variant=variant)
+        with pytest.raises(ContractError,
+                           match="^likelihood dimension 3 does not match "
+                                 "information dimension 2$"):
+            log_prior_model_weight(m, policy, prior=_toy_prior(rng, 3, 2.0),
+                                   info=small)
+
+
+# Hand values that are exact in binary (log p(m) of the three baselines,
+# log|V|, the log-determinants and log n), and c = 2, so that each row of
+# the module docstring's table, written as it reads there, equals the
+# rule's value bit for bit.
+HAND_LD_V, HAND_LD_I, HAND_LD_IV = 1.5, -0.25, 0.75
+HAND_LD_XLX, HAND_LOG_N = 2.625, 0.5
+
+
+@pytest.mark.parametrize("variant", POLICY_VARIANTS)
+@pytest.mark.parametrize("baseline", ["constant", "dimension", "table"])
+def test_log_weights_is_the_docstring_table(variant, baseline):
+    space = LinearSubsets(2)
+    base = {"constant": Baseline.constant(),
+            "dimension": Baseline.dimension(-0.375),
+            "table": Baseline.from_table(
+                {m: -1.25 - 0.5 * len(m.members) for m in space})}[baseline]
+    policy = ModelPriorPolicy(variant=variant, baseline=base)
+    c2 = 4.0
+    calls = []
+
+    def logdet(exact):
+        calls.append(exact)
+        if variant == "loglinear_adjusted":
+            # log|i| = log|X'Diag(l0)X| - d log n.
+            return HAND_LD_V + HAND_LD_XLX - m.d * HAND_LOG_N
+        return HAND_LD_V + (HAND_LD_IV if exact else HAND_LD_I)
+
+    m = space[-1]  # d = 3
+    lp = {"constant": 0.0, "dimension": 3 * -0.375, "table": -2.25}[baseline]
+    expected = {
+        "uniform": lp,
+        "adjusted_c": lp + m.d * math.log(2.0),
+        "adjusted_info": lp + 0.5 * (HAND_LD_V + HAND_LD_I),
+        "adjusted_exact": lp + 0.5 * (HAND_LD_V + HAND_LD_IV),
+        "loglinear_adjusted": lp + 0.5 * HAND_LD_V + 0.5 * HAND_LD_XLX
+        - 0.5 * m.d * HAND_LOG_N,
+    }[variant]
+    assert _log_weights(policy, m, c2, logdet) == expected
+    # The determinant callable is the adjustment's only input under the
+    # information variants, and is never called under the other two.
+    assert calls == ([variant == "adjusted_exact"]
+                     if variant in INFO_VARIANTS else [])
+    # Over a whole space the rule is the same elementwise, with the
+    # baseline evaluated over the space's d.
+    d = space.d
+
+    def logdet_all(exact):
+        return np.where(d == m.d, logdet(exact), 0.0)
+
+    log_w = _log_weights(policy, space, c2, logdet_all)
+    adjust = d * 0.5 * math.log(c2) if variant == "adjusted_c" else 0.0
+    assert log_w.shape == (4,) and log_w[-1] == expected
+    assert np.array_equal(log_w[:-1], (base.log_p(space) + adjust)[:-1])
 
 
 def test_policy_weight_d0_is_baseline():
