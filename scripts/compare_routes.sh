@@ -139,6 +139,23 @@ log_weight = -0.35
 iterations = 4000
 EOF
 
+# The enumeration cap: 2^15 subsets of nott_kohn's 15 columns.
+route rjmcmc-gprior-nott-kohn-p15 rjmcmc <<EOF
+[experiment]
+task = rjmcmc
+seed = 8
+[data]
+source = generator
+generator = nott_kohn
+[prior]
+template = gprior
+c2 = 1e4
+[policy]
+variants = adjusted_info
+[rjmcmc]
+iterations = 5000
+EOF
+
 route rjmcmc-table-loglinear-adjusted rjmcmc <<EOF
 [experiment]
 task = rjmcmc

@@ -6,7 +6,8 @@ vector from that model's Laplace proposal N(mode, (V^{-1} - H)^{-1}).
 Redrawing everything makes the dimension match trivial and the Jacobian
 identity; the acceptance ratio carries the proposal densities in both
 directions and the neighbor-count ratio. Within-model moves are a
-Gaussian random walk scaled by the Laplace standard deviations.
+Gaussian random walk scaled by the Laplace standard deviations. A
+model's neighbors are formed on its first visit or proposal.
 
 The joint chain forms everything per model once per run: the prior's
 inverse factor L_V^{-1}, the Laplace mode, the proposal's factor L and
@@ -163,52 +164,49 @@ def batch_means_se(series):
     return mean, se, length
 
 
-def _neighbor_lists(models):
-    """Adjacency by single-member toggles, restricted to the given
-    space (hierarchy violations are simply absent from it). Toggles are
-    tried in repr order of the member, so covariate 10 precedes 2."""
-    if isinstance(models, LinearSubsets):
-        return _subset_neighbor_lists(models)
-    index = {frozenset(m.members): i for i, m in enumerate(models)}
-    if len(index) != len(models):
-        raise ContractError("duplicate models in sampler space")
-    union = set()
-    common = set(models[0].members)
-    for m in models:
-        union |= set(m.members)
-        common &= set(m.members)
-    toggles = sorted(union - common, key=repr)
-    neighbors = []
-    for m in models:
-        have = frozenset(m.members)
-        nbr = []
-        for t in toggles:
-            hit = index.get(have ^ {t})
-            if hit is not None:
-                nbr.append(hit)
-        neighbors.append(tuple(nbr))
-    return neighbors
+class _Neighbors(dict):
+    """neighbors[i] is (positions, log count): the models one member
+    toggle away from models[i], in toggle order, and the log of their
+    number (0.0 for none), formed on the first lookup of i."""
 
+    def __init__(self, masks, bits, where):
+        super().__init__()
+        self.masks, self.bits, self.where = masks, bits, where
 
-def _subset_neighbor_lists(space):
-    """_neighbor_lists of a whole LinearSubsets space from bitmasks:
-    every covariate toggles, and mask ^ (1 << j) is the neighbor."""
-    masks = (space.member @ (1 << np.arange(space.p))).astype(np.int64)
-    pos_of = np.empty(len(space), dtype=np.int64)
-    pos_of[masks] = np.arange(len(space))
-    toggles = sorted(range(space.p), key=repr)
-    table = np.empty((len(space), space.p), dtype=np.int64)
-    for col, j in enumerate(toggles):
-        table[:, col] = pos_of[masks ^ (1 << j)]
-    return [tuple(row) for row in table.tolist()]
+    def __missing__(self, i):
+        mask = self.masks[i]
+        nbr = tuple(pos for pos in map(self.where.get,
+                                       [mask ^ b for b in self.bits])
+                    if pos is not None)
+        entry = self[i] = nbr, math.log(len(nbr)) if nbr else 0.0
+        return entry
 
 
 def _walk(models, config):
-    """A chain's random stream, neighbor lists and log neighbor counts
-    (0.0 for a model with none)."""
-    neighbors = _neighbor_lists(models)
-    return (np.random.Generator(np.random.Philox(config.seed)), neighbors,
-            [math.log(len(nbr)) if nbr else 0.0 for nbr in neighbors])
+    """A chain's random stream and _Neighbors, which forms a model's
+    neighbors from its bitmask of non-shared members on its first visit
+    or proposal. Toggles go in repr order of their member, so covariate
+    10 precedes 2; a toggle that leaves the space is no neighbor."""
+    if isinstance(models, LinearSubsets):
+        bit = {j: 1 << j for j in range(models.p)}
+        masks = np.concatenate([(1 << index).sum(axis=1)
+                                for _, _, index in models.blocks()]).tolist()
+    else:
+        members = [set(m.members) for m in models]
+        toggles = set().union(*members) - set.intersection(*members)
+        bit = {t: 1 << k for k, t in enumerate(sorted(toggles, key=repr))}
+        masks = [sum(bit[t] for t in m.members if t in bit) for m in models]
+    where = {}
+    for pos, mask in enumerate(masks):
+        if where.setdefault(mask, pos) != pos:
+            a, b = models[where[mask]], models[pos]
+            raise ContractError(
+                "duplicate models in sampler space" if a == b else
+                f"models {a.label()} and {b.label()} have the same "
+                "members; the sampler toggles members only")
+    bits = [bit[t] for t in sorted(bit, key=repr)]
+    return (np.random.Generator(np.random.Philox(config.seed)),
+            _Neighbors(masks, bits, where))
 
 
 def _policy_weights(models, priors, policy, data):
@@ -238,7 +236,8 @@ def rjmcmc_run(space, priors, policy, data, config):
     """Sample the joint posterior over (model, parameters).
 
     space: model list (must be connected under single-member toggles for
-    the chain to mix across all of it). priors: ParamPrior per model.
+    the chain to mix across all of it; a model's neighbors are formed on
+    its first visit or proposal). priors: ParamPrior per model.
     data: LinearDataset (collapsed exact path), ContingencyTable
     (Poisson path), or a dict mapping each model to a likelihood object
     for testing the machinery on known targets.
@@ -290,17 +289,17 @@ def _run_linear_collapsed(models, log_targets, config):
     targets (log prior weight plus exact log marginal, in models order):
     every iteration proposes a uniformly chosen neighbor, so jump_prob
     and within_model_scale play no part."""
-    rng, neighbors, log_degree = _walk(models, config)
+    rng, neighbors = _walk(models, config)
     idx = config.start_index
     trace = np.zeros(config.iterations, dtype=np.int64)
     attempt = accept = 0
     for it in range(config.iterations):
-        nbr = neighbors[idx]
+        nbr, log_degree = neighbors[idx]
         if nbr:
             attempt += 1
             prop = nbr[int(rng.integers(len(nbr)))]
             log_alpha = (log_targets[prop] - log_targets[idx]
-                         + log_degree[idx] - log_degree[prop])
+                         + log_degree - neighbors[prop][1])
             if math.log(rng.random()) < log_alpha:
                 idx = prop
                 accept += 1
@@ -312,7 +311,7 @@ def _run_linear_collapsed(models, log_targets, config):
 
 
 def _run_joint(models, priors, policy, data, likelihoods, config, kind):
-    rng, neighbors, log_degree = _walk(models, config)
+    rng, neighbors = _walk(models, config)
     # Everything a log target or a proposal needs is formed once per run
     # and lives only as long as it does; caching it on ParamPrior would
     # keep a factor alive for every prior a caller holds. The loop then
@@ -354,7 +353,7 @@ def _run_joint(models, priors, policy, data, likelihoods, config, kind):
     # target of -inf or nan and is rejected without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(config.iterations):
-            nbr = neighbors[idx]
+            nbr, log_degree = neighbors[idx]
             if rng.random() < config.jump_prob and nbr:
                 attempt_jump += 1
                 prop_idx = nbr[int(rng.integers(len(nbr)))]
@@ -366,7 +365,7 @@ def _run_joint(models, priors, policy, data, likelihoods, config, kind):
                     u = chols[idx].T @ (beta - modes[idx])
                     q_value = -0.5 * (q_consts[idx] + float(u @ u))
                 log_alpha = (prop_value - value + q_value - prop_q
-                             + log_degree[idx] - log_degree[prop_idx])
+                             + log_degree - neighbors[prop_idx][1])
                 if math.log(rng.random()) < log_alpha:
                     idx, beta, value = prop_idx, prop_beta, prop_value
                     q_value = prop_q

@@ -21,7 +21,9 @@ from jointbma.model_space import INFO_VARIANTS, LINEAR, POLICY_VARIANTS, \
     enumerate_linear_models, is_hierarchical, log_prior_model_weight, \
     term_margins
 from jointbma.param_priors import InformationSource, ParamPrior
-from jointbma.rj_sampler import _neighbor_lists
+from jointbma.rj_sampler import SamplerConfig, _walk
+
+from neighbors import toggle_neighbors
 
 
 @pytest.fixture
@@ -80,9 +82,11 @@ def test_linear_subsets_follow_combinations_order(p, intercept):
     assert seq.member.shape == (2 ** p, p)
     assert [tuple(np.flatnonzero(row)) for row in seq.member] == \
         [m.members for m in oracle]
-    # Bitmask neighbor lists against the generic toggle search, whose
-    # repr order puts covariate 10 before 2 from p = 11 on.
-    assert _neighbor_lists(seq) == _neighbor_lists(oracle)
+    # The walk's bitmask neighbors of every state against the toggle
+    # search, whose repr order puts covariate 10 before 2 from p = 11 on.
+    _, neighbors = _walk(seq, SamplerConfig(iterations=1))
+    assert [neighbors[i] for i in range(len(seq))] == \
+        toggle_neighbors(oracle)
 
 
 spaces = st.tuples(st.integers(0, 12), st.booleans())

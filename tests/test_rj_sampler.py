@@ -33,10 +33,11 @@ from jointbma.model_space import Baseline, FactorSpec, LinearSubsets, \
 from jointbma.param_priors import ParamPrior, _factor_prior, \
     log_prior_density, prior_for_linear_model
 from jointbma.rj_sampler import RjChain, SamplerConfig, _log_target, \
-    _neighbor_lists, _policy_weights, batch_means_se, chain_to_csv, \
-    estimate_model_probs, rjmcmc_run, rwm_step
+    _policy_weights, _run_linear_collapsed, _walk, batch_means_se, \
+    chain_to_csv, estimate_model_probs, rjmcmc_run, rwm_step
 
 from likelihoods import GaussianKnownVar
+from neighbors import toggle_neighbors
 
 
 def test_rwm_acceptance_rate_matches_closed_form():
@@ -157,7 +158,21 @@ def test_sampler_settings_out_of_range_are_contract_errors():
         estimate_model_probs(synthetic_chain([0, 1] * 5, models), thin=0)
     with pytest.raises(ContractError,
                        match="duplicate models in sampler space"):
-        _neighbor_lists([models[1], models[0], models[1]])
+        _walk([models[1], models[0], models[1]], SamplerConfig(iterations=1))
+    # Distinct models whose members agree (here 1+X1 and X1, which differ
+    # in the intercept only) are not one toggle apart, nor the same model.
+    rng = np.random.Generator(np.random.Philox(12))
+    X = rng.standard_normal((20, 2))
+    data = LinearDataset(y=X[:, 0] + rng.standard_normal(20), X=X)
+    space = [ModelId.linear([]), ModelId.linear([0]),
+             ModelId.linear([0], intercept=False),
+             ModelId.linear([0, 1], intercept=False)]
+    priors = {m: prior_for_linear_model(X, m, 4.0) for m in space}
+    with pytest.raises(ContractError, match=(
+            r"^models 1\+X1 and X1 have the same members; the sampler "
+            "toggles members only$")):
+        rjmcmc_run(space, priors, ModelPriorPolicy(variant="uniform"), data,
+                   SamplerConfig(iterations=10))
 
 
 def test_linear_chain_rejects_mixed_sigma2_conventions():
@@ -491,7 +506,7 @@ def oracle_joint_chain(models, priors, policy, data, config):
     Returns (model_index, log_target, counts, coefficients)."""
     models = tuple(models)
     rng = np.random.Generator(np.random.Philox(config.seed))
-    neighbors = _neighbor_lists(models)
+    neighbors = toggle_neighbors(models)
     if isinstance(data, ContingencyTable):
         likelihoods = {m: PoissonLogLinear(build_design(data.spec, m).X,
                                            data.counts) for m in models}
@@ -511,7 +526,6 @@ def oracle_joint_chain(models, priors, policy, data, config):
         q_consts.append(prior.d * math.log(2.0 * math.pi) - factor_logdet(L))
         cov = chol_solve(L, np.eye(prior.d))
         step_sds.append(config.within_model_scale * np.sqrt(np.diag(cov)))
-    log_degree = [math.log(len(nbr)) if nbr else 0.0 for nbr in neighbors]
 
     def q(i, beta):
         return q_logpdf(chols[i], modes[i], q_consts[i], beta)
@@ -522,7 +536,7 @@ def oracle_joint_chain(models, priors, policy, data, config):
     trace, values, coef = [], [], []
     counts = [0, 0, 0, 0]
     for _ in range(config.iterations):
-        nbr = neighbors[idx]
+        nbr, log_degree = neighbors[idx]
         if rng.random() < config.jump_prob and nbr:
             counts[0] += 1
             prop_idx = nbr[int(rng.integers(len(nbr)))]
@@ -532,7 +546,7 @@ def oracle_joint_chain(models, priors, policy, data, config):
             log_alpha = (prop_value - value
                          + q(idx, beta)
                          - q(prop_idx, prop_beta)
-                         + log_degree[idx] - log_degree[prop_idx])
+                         + log_degree - neighbors[prop_idx][1])
             if math.log(rng.random()) < log_alpha:
                 idx, beta, value = prop_idx, prop_beta, prop_value
                 counts[1] += 1
@@ -589,6 +603,87 @@ def test_joint_chain_equals_loop_oracle(case, jump_prob):
         assert chain.accept_jump > 0
     if jump_prob < 1.0:
         assert chain.accept_within > 0
+
+
+def hierarchical_spaces():
+    """The table spaces above, one with a three-factor candidate whose
+    margins the toggle search must respect, a linear pair and a
+    one-model space."""
+    spec = FactorSpec(factors=(("A", 2), ("B", 2), ("C", 2)),
+                      forced_terms=((), ("A",), ("B",), ("C",)),
+                      candidate_terms=(("A", "B"), ("A", "C"), ("B", "C"),
+                                       ("A", "B", "C")))
+    pair = gaussian_pair_space()[3]
+    return [list(three_way_table()[1]), list(empty_model_table()[1]),
+            list(enumerate_hierarchical_models(spec)), list(pair),
+            [pair[1]]]
+
+
+@pytest.mark.parametrize("space", range(5))
+def test_neighbor_rule_equals_toggle_oracle(space):
+    models = hierarchical_spaces()[space]
+    for order in (models, models[::-1]):
+        _, neighbors = _walk(order, SamplerConfig(iterations=1))
+        assert [neighbors[i] for i in range(len(order))] == \
+            toggle_neighbors(order)
+    if len(models) == 1:
+        assert neighbors[0] == ((), 0.0)
+
+
+def oracle_collapsed_walk(models, log_targets, config):
+    """The collapsed walk as a plain loop over the toggle search's
+    neighbor lists: (model_index, attempts, accepts)."""
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    neighbors = toggle_neighbors(models)
+    idx = config.start_index
+    trace = []
+    attempt = accept = 0
+    for _ in range(config.iterations):
+        nbr, log_degree = neighbors[idx]
+        if nbr:
+            attempt += 1
+            prop = nbr[int(rng.integers(len(nbr)))]
+            log_alpha = (log_targets[prop] - log_targets[idx]
+                         + log_degree - neighbors[prop][1])
+            if math.log(rng.random()) < log_alpha:
+                idx = prop
+                accept += 1
+        trace.append(idx)
+    return np.array(trace), attempt, accept
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 11, 12])
+def test_collapsed_walk_equals_loop_oracle(p, seed):
+    # From p = 11 on, repr order puts covariate 10 before 2.
+    space = LinearSubsets(p)
+    rng = np.random.Generator(np.random.Philox(100 + seed))
+    targets = 2.0 * rng.standard_normal(len(space))
+    config = SamplerConfig(iterations=3000, seed=seed,
+                           start_index=5 if seed == 3 else 0)
+    chain = _run_linear_collapsed(space, targets, config)
+    trace, attempt, accept = oracle_collapsed_walk(list(space), targets,
+                                                   config)
+    assert np.array_equal(chain.model_index, trace)
+    assert np.array_equal(chain.log_target, targets[trace])
+    assert (chain.attempt_jump, chain.accept_jump) == (attempt, accept)
+    assert 0 < accept < attempt
+
+
+def test_collapsed_walk_memory_grows_with_visited_models():
+    # A 200-step walk visits at most 201 of the 2^15 models; a neighbor
+    # table over the whole space took 34 MB.
+    import tracemalloc
+    space = LinearSubsets(15)
+    targets = np.zeros(len(space))
+    tracemalloc.start()
+    try:
+        _run_linear_collapsed(space, targets,
+                              SamplerConfig(iterations=200, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
