@@ -212,6 +212,22 @@ baseline = dimension
 log_weight = -0.25
 EOF
 
+# Three-factor candidates: the only route where a candidate's margins
+# decide which term sets it joins (113 models).
+route prior-probs-three-factor prior-probs <<EOF
+[experiment]
+task = prior-probs
+[space]
+factors = A:2, B:3, C:2, D:2
+forced = 1, A, B, C, D
+candidates = A*B, A*C, A*D, B*C, B*D, C*D, A*B*C, A*B*D, A*C*D, B*C*D
+[prior]
+template = term_blocks
+scale = 4
+[policy]
+variants = uniform, loglinear_adjusted
+EOF
+
 route sweep-adjusted-exact sweep <<EOF
 [experiment]
 task = sweep

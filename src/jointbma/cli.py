@@ -213,6 +213,9 @@ def run_sweep(cfg):
     _check_cap(data, MAX_CLI_ENUM, "sweep enumerates 2^p subsets; p={p} "
                "exceeds the command-line cap of {cap}")
     stats, policy_rows = _policy_rows(cfg, data, cfg.prior.c2_grid)
+    # Inclusion rows read the membership matrix at every grid point;
+    # built here, its temporaries do not add to a grid point's arrays.
+    stats.member
     watch = [(w, stats.models.position(w)) for w in cfg.sweep.watch]
     for w, pos in watch:
         if pos is None:

@@ -129,7 +129,6 @@ def build_design(spec, m, grid=None):
     if grid is None:
         grid = np.indices(shape).reshape(len(shape), -1).T
     n = grid.shape[0]
-    name_pos = {name: k for k, name in enumerate(spec.names)}
     cols = []
     ranges = []
     at = 0
@@ -137,7 +136,7 @@ def build_design(spec, m, grid=None):
         block = np.ones((n, 1))
         for name in term:
             codes = _factor_codes(spec.levels[name])
-            coded = codes[grid[:, name_pos[name]]]
+            coded = codes[grid[:, spec.names.index(name)]]
             block = np.einsum("ni,nj->nij", block, coded).reshape(n, -1)
         cols.append(block)
         ranges.append((term, at, at + block.shape[1]))

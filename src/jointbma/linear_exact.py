@@ -245,11 +245,9 @@ def log_marginal_gprior_closed(data, m, c2, alpha=0.0, lam=0.0):
             "the closed-form g-prior marginal requires the intercept in the "
             "model; use the generic route for no-intercept models")
     _check_covariates(m.members, data.p)
-    idx = np.array([m.members], dtype=np.intp)
-    r2, tss = _centered_r2(data, [(idx.shape[1], slice(0, 1), idx)], 1)
-    one = AllSubsets(models=(m,), d=np.array([m.d]), r2=r2,
-                     member=np.isin(np.arange(data.p), idx)[None, :] * 1.0,
-                     n=data.n, yty=data.yty, tss=tss)
+    r2, tss = _centered_r2(data, [np.array([m.members], dtype=np.intp)])
+    one = AllSubsets(models=(m,), d=np.array([m.d]), r2=r2, n=data.n,
+                     yty=data.yty, tss=tss)
     values, convention = gprior_log_marginals(one, c2, alpha, lam)
     return LogMarginal(value=float(values[0]), method="closed_g",
                        convention=convention)
@@ -384,25 +382,28 @@ def cv_score_from_lpd(posterior, lpd, mode):
 class AllSubsets:
     """Sufficient statistics for every covariate subset: models is the
     LinearSubsets space in canonical order (dimension, then lexicographic
-    members), aligned with the d and r2 arrays and the rows of member,
-    the 0/1 matrix of covariate membership (one column per covariate)."""
+    members), aligned with the d and r2 arrays."""
 
     models: LinearSubsets
     d: np.ndarray
     r2: np.ndarray
-    member: np.ndarray
     n: int
     yty: float
     tss: float
 
+    @property
+    def member(self):
+        """models.member, the 0/1 covariate matrix, built on first read."""
+        return self.models.member
 
-def _centered_r2(data, blocks, size):
-    """(R^2 of each subset in blocks, as LinearSubsets.blocks gives them,
-    in an array of the given size; TSS of the centered response). Each
-    block's centered normal equations are solved as one stacked batch,
-    under chol_factor's rule on the covariates' correlation matrix: its
-    principal submatrices are every subset's, and no column's shift or
-    rescaling changes it."""
+
+def _centered_r2(data, indices):
+    """(R^2 of the subsets in indices, in their order; TSS of the
+    centered response). indices holds a k-column integer array per
+    subset size k, as LinearSubsets.blocks gives them, each solved as one
+    stacked batch of centered normal equations under chol_factor's rule
+    on the covariates' correlation matrix: its principal submatrices are
+    every subset's, and no column's shift or rescaling changes it."""
     yc = data.y - data.y.mean()
     tss = float(yc @ yc)
     if tss <= 0.0:
@@ -416,15 +417,15 @@ def _centered_r2(data, blocks, size):
                     np.inf)
     chol_factor(G / np.outer(norm, norm), "covariate correlation matrix")
 
-    r2 = np.zeros(size)
-    for _, rows, idx in blocks:
+    r2 = []
+    for idx in indices:
         gsub = g[idx]
         # Explicit trailing axis keeps the solve a batched vector solve.
         coef = np.linalg.solve(G[idx[:, :, None], idx[:, None, :]],
                                gsub[:, :, None])[:, :, 0]
         ess = np.einsum("ij,ij->i", coef, gsub)
-        r2[rows] = np.clip(ess / tss, 0.0, 1.0)
-    return r2, tss
+        r2.append(np.clip(ess / tss, 0.0, 1.0))
+    return np.concatenate(r2), tss
 
 
 def all_subsets_stats(data):
@@ -432,9 +433,9 @@ def all_subsets_stats(data):
     subsets. Each subset size's normal equations are solved as one
     stacked batch."""
     models = LinearSubsets(data.p, intercept=True)
-    r2, tss = _centered_r2(data, models.blocks(), len(models))
-    return AllSubsets(models=models, d=models.d, r2=r2, member=models.member,
-                      n=data.n, yty=data.yty, tss=tss)
+    r2, tss = _centered_r2(data, (idx for _, _, idx in models.blocks()))
+    return AllSubsets(models=models, d=models.d, r2=r2, n=data.n,
+                      yty=data.yty, tss=tss)
 
 
 def gprior_log_marginals(stats, c2, alpha=0.0, lam=0.0):

@@ -146,11 +146,11 @@ class FactorSpec:
         object.__setattr__(self, "forced_terms", forced)
         object.__setattr__(self, "candidate_terms", cand)
 
-    @property
+    @cached_property
     def names(self):
         return tuple(n for n, _ in self.factors)
 
-    @property
+    @cached_property
     def levels(self):
         return {n: l for n, l in self.factors}
 
@@ -165,24 +165,18 @@ class FactorSpec:
         if isinstance(term, str):
             term = (term,) if term not in ("1", "") else ()
         term = tuple(term)
-        order = {n: k for k, n in enumerate(self.names)}
         for name in term:
-            if name not in order:
+            if name not in self.names:
                 raise SpecificationError(f"term references unknown factor {name!r}")
         if len(set(term)) != len(term):
             raise SpecificationError(f"term repeats a factor: {term}")
-        return tuple(sorted(term, key=order.__getitem__))
+        return tuple(sorted(term, key=self.names.index))
 
     def term_sort_key(self, term):
-        order = {n: k for k, n in enumerate(self.names)}
-        return (len(term), tuple(order[n] for n in term))
+        return (len(term), tuple(map(self.names.index, term)))
 
     def term_dimension(self, term):
-        levels = self.levels
-        out = 1
-        for name in term:
-            out *= levels[name] - 1
-        return out
+        return math.prod(self.levels[name] - 1 for name in term)
 
 
 def term_margins(term):
@@ -336,7 +330,8 @@ def enumerate_linear_models(p, include_intercept=True):
 
 def enumerate_hierarchical_models(spec):
     """All hierarchical term sets containing the forced terms, drawn from
-    forced plus candidate terms."""
+    forced plus candidate terms, in ModelId.sort_key order. The sets are
+    grown term by term, not filtered from all 2^T candidate subsets."""
     allowed = set(spec.forced_terms) | set(spec.candidate_terms)
     for t in sorted(allowed, key=spec.term_sort_key):
         missing = [s for s in term_margins(t) if s not in allowed]
@@ -345,15 +340,14 @@ def enumerate_hierarchical_models(spec):
                 f"term {_term_label(t)} requires margin "
                 f"{_term_label(missing[0])} which is neither forced nor "
                 "candidate")
-    cand = list(spec.candidate_terms)
-    models = []
-    for k in range(len(cand) + 1):
-        for extra in combinations(cand, k):
-            terms = set(spec.forced_terms) | set(extra)
-            if is_hierarchical(terms):
-                models.append(ModelId.loglinear(spec, terms))
-    models.sort(key=ModelId.sort_key)
-    return models
+    # Candidates come smallest first, so a term's candidate margins are
+    # decided before it: a set that lacks one never gains it later.
+    sets = [frozenset(spec.forced_terms)]
+    for t in spec.candidate_terms:
+        margins = term_margins(t)
+        sets += [s | {t} for s in sets if s.issuperset(margins)]
+    return sorted((ModelId.loglinear(spec, s) for s in sets
+                   if is_hierarchical(s)), key=ModelId.sort_key)
 
 
 @dataclass(frozen=True)
@@ -389,6 +383,7 @@ class Baseline:
             raise SpecificationError(
                 f"calibrated baseline needs finite n0 and psi0; got "
                 f"n0={n0}, psi0={psi0}")
+        calibrate_p(0, n0, psi0)
         return cls(kind="calibrated", n0=n0, psi0=psi0)
 
     @classmethod

@@ -1310,6 +1310,23 @@ def test_malformed_or_non_finite_key_exits_2(tmp_path, capsys, task,
     assert message in lines[0]
 
 
+@pytest.mark.parametrize("n0, psi0, message", [
+    ("1", "1", "reference sample size must be >= 2, got 1.0"),
+    ("24", "0", "penalty value must be positive, got 0.0")])
+def test_calibrated_baseline_is_rejected_before_the_data_load(
+        tmp_path, capsys, n0, psi0, message):
+    # The data path does not exist, so a data load would say so first.
+    cfg = write_config(tmp_path, (
+        "[experiment]\ntask = sweep\n\n"
+        f"[data]\nsource = csv\npath = {tmp_path / 'missing.csv'}\n\n"
+        "[prior]\nc2_grid = 1e0,1e2,3\n\n"
+        f"[policy]\nbaseline = calibrated\nn0 = {n0}\npsi0 = {psi0}\n"))
+    assert main(["sweep", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 C2_RANGE = "c2 must be positive and finite, with 1/c2 and n c2 finite"
 SIGMA2_OVERFLOW = "overflows the marginal likelihood"
 

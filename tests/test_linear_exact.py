@@ -363,6 +363,7 @@ def test_all_subsets_stats_matches_lstsq():
     data = LinearDataset(y=y, X=X)
     stats = all_subsets_stats(data)
     assert len(stats.models) == 2 ** p
+    assert "member" not in vars(stats.models)
     assert stats.member.shape == (2 ** p, p)
     for m, row in zip(stats.models, stats.member):
         assert np.flatnonzero(row).tolist() == list(m.members)
@@ -629,9 +630,9 @@ def test_gprior_sweep_keeps_calibrated_baseline_validation():
     data = LinearDataset(y=X[:, 0] + rng.standard_normal(12), X=X)
     for n0, psi0, match in ((1.0, 1.0, "reference sample size"),
                             (24.0, 0.0, "penalty value")):
-        policy = ModelPriorPolicy(variant="adjusted_c",
-                                  baseline=Baseline.calibrated(n0, psi0))
         with pytest.raises(SpecificationError, match=match):
+            policy = ModelPriorPolicy(variant="adjusted_c",
+                                      baseline=Baseline.calibrated(n0, psi0))
             gprior_sweep(data, [1.0], policy)
 
 

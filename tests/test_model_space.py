@@ -23,6 +23,7 @@ from jointbma.model_space import INFO_VARIANTS, LINEAR, POLICY_VARIANTS, \
 from jointbma.param_priors import InformationSource, ParamPrior
 from jointbma.rj_sampler import SamplerConfig, _walk
 
+from hierarchical import filtered_hierarchical_models
 from neighbors import toggle_neighbors
 
 
@@ -204,6 +205,64 @@ def test_enumerate_hierarchical_matches_bruteforce():
     assert len(models) == count == 9
 
 
+def _terms(names, *sizes):
+    return tuple(t for k in sizes for t in combinations(names, k))
+
+
+# (spec, model count): main effects forced unless stated.
+HIERARCHICAL_SPECS = {
+    # rj-loglinear-64's space: the six pairs as candidates.
+    "pairs-3x2x4x3": (FactorSpec(
+        factors=(("A", 3), ("B", 2), ("C", 4), ("D", 3)),
+        forced_terms=_terms("ABCD", 0, 1),
+        candidate_terms=_terms("ABCD", 2)), 64),
+    "pairs-and-triples-2x2x2x2": (FactorSpec(
+        factors=tuple((n, 2) for n in "ABCD"),
+        forced_terms=_terms("ABCD", 0, 1),
+        candidate_terms=_terms("ABCD", 2, 3)), 113),
+    "pairs-and-triples-AB-forced": (FactorSpec(
+        factors=tuple((n, 2) for n in "ABCD"),
+        forced_terms=_terms("ABCD", 0, 1) + (("A", "B"),),
+        candidate_terms=tuple(t for t in _terms("ABCD", 2, 3)
+                              if t != ("A", "B"))), 72),
+    "candidate-mains-2x3x2": (FactorSpec(
+        factors=(("A", 2), ("B", 3), ("C", 2)),
+        forced_terms=((),),
+        candidate_terms=_terms("ABC", 1, 2, 3)), 19),
+    # Every margin of the forced triple is a candidate, so the only
+    # hierarchical set takes them all.
+    "forced-triple": (FactorSpec(
+        factors=tuple((n, 2) for n in "ABC"),
+        forced_terms=(("A", "B", "C"),),
+        candidate_terms=_terms("ABC", 0, 1, 2)), 1),
+    "no-candidates": (FactorSpec(
+        factors=(("A", 2), ("B", 3)),
+        forced_terms=_terms("AB", 0, 1)), 1),
+}
+
+
+@pytest.mark.parametrize("name", HIERARCHICAL_SPECS)
+def test_enumerate_hierarchical_equals_the_subset_filter(name):
+    spec, count = HIERARCHICAL_SPECS[name]
+    models = enumerate_hierarchical_models(spec)
+    assert models == filtered_hierarchical_models(spec)
+    assert len(models) == count
+
+
+def test_enumerate_hierarchical_tests_hierarchy_at_most_twice_per_model(
+        monkeypatch):
+    # The filter over all 2^10 candidate subsets made 1,137 calls here.
+    calls = []
+
+    def counted(terms):
+        calls.append(1)
+        return is_hierarchical(terms)
+    monkeypatch.setattr("jointbma.model_space.is_hierarchical", counted)
+    spec, count = HIERARCHICAL_SPECS["pairs-and-triples-2x2x2x2"]
+    assert len(enumerate_hierarchical_models(spec)) == count
+    assert len(calls) <= 2 * count
+
+
 def test_enumerate_hierarchical_rejects_open_margin():
     spec = FactorSpec(factors=(("A", 2), ("B", 2)),
                       forced_terms=((),),
@@ -250,6 +309,15 @@ def test_calibrate_p():
         calibrate_p(2, 1.0, 1.5)
     with pytest.raises(SpecificationError):
         calibrate_p(2, 24.0, 0.0)
+
+
+@pytest.mark.parametrize("n0, psi0, match", [
+    (1.0, 1.0, "reference sample size must be >= 2, got 1.0"),
+    (24.0, 0.0, "penalty value must be positive, got 0.0")])
+def test_calibrated_baseline_is_checked_when_built(n0, psi0, match):
+    # calibrate_p's rule, applied before any weight is evaluated.
+    with pytest.raises(SpecificationError, match=match):
+        Baseline.calibrated(n0, psi0)
 
 
 def _toy_prior(rng, d, c2):
