@@ -228,6 +228,23 @@ scale = 4
 variants = uniform, loglinear_adjusted
 EOF
 
+# A forced interaction whose margins are candidates: the only route
+# where the forced terms' margins, present in every model, decide
+# which candidates are left to choose (5 models).
+route prior-probs-forced-margins prior-probs <<EOF
+[experiment]
+task = prior-probs
+[space]
+factors = A:2, B:3, C:2
+forced = 1, A*B
+candidates = A, B, C, A*C, B*C
+[prior]
+template = term_blocks
+scale = 4
+[policy]
+variants = uniform, loglinear_adjusted
+EOF
+
 route sweep-adjusted-exact sweep <<EOF
 [experiment]
 task = sweep

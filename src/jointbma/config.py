@@ -150,9 +150,17 @@ def parse_model_label(text):
 
 
 def _dotted(section, prefix, cast, name=parse_term):
-    """{name(suffix): cast value} of every 'prefix.suffix' key."""
-    return {name(key[len(prefix) + 1:]): _get(section, key, cast)
-            for key in section if key.startswith(prefix + ".")}
+    """{name(suffix): cast value} of every 'prefix.suffix' key; two keys
+    whose suffixes have one name are a ParseError."""
+    keys = {}
+    for key in section:
+        if key.startswith(prefix + "."):
+            suffix = name(key[len(prefix) + 1:])
+            if suffix in keys:
+                raise ParseError(f"config keys [{section.name}] "
+                                 f"{keys[suffix]} and {key} name one term")
+            keys[suffix] = key
+    return {suffix: _get(section, key, cast) for suffix, key in keys.items()}
 
 
 def _build(cls, **values):
@@ -276,17 +284,24 @@ def _parse_policies(parser):
                  for name in names)
 
 
-def _parse_prior(parser):
+def _parse_prior(parser, space):
+    """[prior]; with a [space], per-term keys are read in its factor
+    order, and a per-term key without its plain key applies over the
+    plain key's default."""
     section = _keys(parser, "prior")
     template = _get(section, "template", _choice(
         "prior template", ("gprior", "identity", "term_blocks")))
-    scales = _dotted(section, "scale", float)
-    means = _dotted(section, "mean", _vector)
-    metric = _dotted(section, "metric", str)
-    if "scale" in section:
-        scales["default"] = _get(section, "scale", float)
-    if "metric" in section:
-        metric["default"] = _get(section, "metric", str)
+    term = parse_term if space is None else \
+        lambda text: space.normalize_term(parse_term(text))
+    scales = _dotted(section, "scale", float, term)
+    means = _dotted(section, "mean", _vector, term)
+    metric = _dotted(section, "metric", str, term)
+    if scales or "scale" in section:
+        scales["default"] = _get(section, "scale", float,
+                                 default=PriorConfig.scales)
+    if metric or "metric" in section:
+        metric["default"] = _get(section, "metric", str,
+                                 default=PriorConfig.metric)
     return _build(PriorConfig, template=template,
                   alpha=_get(section, "alpha", float),
                   lam=_get(section, "lambda", float),
@@ -354,9 +369,9 @@ def load_config(path, seed_override=None, out_override=None,
         _get(experiment, "out", _optional(str))
 
     data = _parse_data(parser)
-    prior = _parse_prior(parser)
-    policies = _parse_policies(parser)
     space = _parse_space(parser)
+    prior = _parse_prior(parser, space)
+    policies = _parse_policies(parser)
 
     sweep = _section(parser, "sweep", SweepConfig, top_k=int,
                      watch=_list_of(parse_model_label))

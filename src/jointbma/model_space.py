@@ -87,17 +87,21 @@ class ModelId:
 
     @classmethod
     def loglinear(cls, spec, terms):
-        terms = tuple(sorted((spec.normalize_term(t) for t in terms),
-                             key=spec.term_sort_key))
+        terms = [spec.normalize_term(t) for t in terms]
         if len(set(terms)) != len(terms):
             raise SpecificationError(f"duplicate terms in model: {terms}")
         if not is_hierarchical(terms):
             raise SpecificationError(
                 f"term set {[_term_label(t) for t in terms]} is not closed "
                 "under margins")
-        d = sum(spec.term_dimension(t) for t in terms)
-        return cls(kind=LOGLINEAR, members=terms, d=d,
-                   intercept=() in terms)
+        return cls._termset(spec, terms)
+
+    @classmethod
+    def _termset(cls, spec, terms):
+        """The model of distinct canonical terms closed under margins."""
+        terms = tuple(sorted(terms, key=spec.term_sort_key))
+        return cls(kind=LOGLINEAR, members=terms, intercept=() in terms,
+                   d=sum(map(spec.term_dimension, terms)))
 
     def label(self):
         if self.kind == LINEAR:
@@ -135,16 +139,16 @@ class FactorSpec:
             if l < 2:
                 raise SpecificationError(f"factor {n!r} needs >= 2 levels, got {l}")
         object.__setattr__(self, "factors", factors)
-        forced = tuple(sorted((self.normalize_term(t) for t in self.forced_terms),
-                              key=self.term_sort_key))
-        cand = tuple(sorted((self.normalize_term(t) for t in self.candidate_terms),
-                            key=self.term_sort_key))
-        if set(forced) & set(cand):
-            raise SpecificationError(
-                f"terms cannot be both forced and candidate: "
-                f"{sorted(set(forced) & set(cand))}")
-        object.__setattr__(self, "forced_terms", forced)
-        object.__setattr__(self, "candidate_terms", cand)
+        listed = set()
+        for attr in ("forced_terms", "candidate_terms"):
+            terms = [self.normalize_term(t) for t in getattr(self, attr)]
+            for t in terms:
+                if t in listed:
+                    raise SpecificationError(
+                        f"term {_term_label(t)} is listed twice")
+                listed.add(t)
+            object.__setattr__(self, attr,
+                               tuple(sorted(terms, key=self.term_sort_key)))
 
     @cached_property
     def names(self):
@@ -156,10 +160,7 @@ class FactorSpec:
 
     @property
     def n_cells(self):
-        out = 1
-        for _, l in self.factors:
-            out *= l
-        return out
+        return math.prod(l for _, l in self.factors)
 
     def normalize_term(self, term):
         if isinstance(term, str):
@@ -181,10 +182,7 @@ class FactorSpec:
 
 def term_margins(term):
     """All proper sub-terms of a term, the intercept () included."""
-    out = []
-    for k in range(len(term)):
-        out.extend(combinations(term, k))
-    return out
+    return [s for k in range(len(term)) for s in combinations(term, k)]
 
 
 def is_hierarchical(terms):
@@ -340,14 +338,16 @@ def enumerate_hierarchical_models(spec):
                 f"term {_term_label(t)} requires margin "
                 f"{_term_label(missing[0])} which is neither forced nor "
                 "candidate")
-    # Candidates come smallest first, so a term's candidate margins are
-    # decided before it: a set that lacks one never gains it later.
-    sets = [frozenset(spec.forced_terms)]
-    for t in spec.candidate_terms:
+    # Every set holds the forced terms and their margins; the other
+    # candidates join smallest first, so each set grown is hierarchical.
+    seed = frozenset(chain(spec.forced_terms,
+                           *map(term_margins, spec.forced_terms)))
+    sets = [seed]
+    for t in [t for t in spec.candidate_terms if t not in seed]:
         margins = term_margins(t)
         sets += [s | {t} for s in sets if s.issuperset(margins)]
-    return sorted((ModelId.loglinear(spec, s) for s in sets
-                   if is_hierarchical(s)), key=ModelId.sort_key)
+    return sorted((ModelId._termset(spec, s) for s in sets),
+                  key=ModelId.sort_key)
 
 
 @dataclass(frozen=True)

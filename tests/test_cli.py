@@ -943,6 +943,74 @@ def _prior_probs_rows(tmp_path, capsys, text):
     return read_csv_output(capsys.readouterr().out)[2]
 
 
+TWO_BY_TWO_SPACE = (
+    "[experiment]\ntask = prior-probs\n\n"
+    "[space]\nfactors = A:2, B:2\nforced = 1, A, B\ncandidates = A*B\n\n"
+    "[policy]\nvariants = loglinear_adjusted\n\n"
+    "[prior]\ntemplate = term_blocks\n")
+
+
+@pytest.mark.parametrize("key", ["scale.{} = 0.5", "mean.{} = 1",
+                                 "metric.{} = identity"])
+def test_prior_probs_per_term_key_in_any_factor_order(tmp_path, capsys,
+                                                      key):
+    # Per-term keys are read in [space]'s factor order, so B*A names the
+    # A*B interaction rather than a term no model holds.
+    rows = {}
+    for term in ("A*B", "B*A"):
+        rows[term] = _prior_probs_rows(tmp_path, capsys, (
+            TWO_BY_TWO_SPACE + "scale = 4\n" + key.format(term) + "\n"))
+    plain = _prior_probs_rows(tmp_path, capsys,
+                              TWO_BY_TWO_SPACE + "scale = 4\n")
+    assert rows["B*A"] == rows["A*B"] != plain
+
+
+@pytest.mark.parametrize("keys, message", [
+    ("scale.A*C = 2\n", "term references unknown factor 'C'"),
+    ("scale.A*A = 2\n", "term repeats a factor"),
+    ("scale.A*B = 2\nscale.B*A = 3\n",
+     "config keys [prior] scale.A*B and scale.B*A name one term"),
+    ("metric.A * B = identity\nmetric.B*A = information\n",
+     "config keys [prior] metric.A * B and metric.B*A name one term"),
+])
+def test_prior_probs_per_term_key_outside_the_space_exits_2(
+        tmp_path, capsys, keys, message):
+    cfg = write_config(tmp_path, TWO_BY_TWO_SPACE + "scale = 4\n" + keys)
+    assert main(["prior-probs", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+
+
+@pytest.mark.parametrize("alone, plain, probs", [
+    ("scale = 4\nmetric.A*B = identity\n", "metric = information\n",
+     ["0.33333333333333337", "0.66666666666666674"]),
+    ("scale.A*B = 0.5\n", "scale = 1\n",
+     ["0.73879612503625847", "0.26120387496374148"]),
+])
+def test_prior_probs_per_term_key_applies_over_the_default(
+        tmp_path, capsys, alone, plain, probs):
+    # A per-term key without its plain key keeps the plain key's
+    # documented default for every other term.
+    rows = _prior_probs_rows(tmp_path, capsys, TWO_BY_TWO_SPACE + alone)
+    assert rows == _prior_probs_rows(tmp_path, capsys,
+                                     TWO_BY_TWO_SPACE + plain + alone)
+    assert [r[3] for r in rows] == probs
+
+
+def test_prior_probs_term_listed_twice_exits_2(tmp_path, capsys):
+    # B*A is A*B: listed twice, it would put every model in the space
+    # twice.
+    cfg = write_config(tmp_path, TWO_BY_TWO_SPACE.replace(
+        "candidates = A*B", "candidates = A*B, B*A") + "scale = 4\n")
+    assert main(["prior-probs", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: term AB is listed twice\n"
+
+
 def _expected_rows(variant, models, log_w):
     probs = np.exp(log_w - log_sum_exp(log_w))
     return [[variant, m.label(), str(m.d), "%.17g" % prob]

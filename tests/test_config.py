@@ -152,6 +152,23 @@ def test_prior_dotted_keys(tmp_path):
     assert prior.metric == {"default": "information", ("O",): "identity"}
 
 
+def test_prior_dotted_keys_follow_the_space_factor_order(tmp_path):
+    # With a [space], per-term keys are read in its declared factor
+    # order, and a per-term key alone keeps the plain key's default.
+    text = ("[experiment]\ntask = prior-probs\n\n"
+            "[space]\nfactors = O:3, H:2, A:4\n\n"
+            "[prior]\n"
+            "template = term_blocks\n"
+            "scale.A*H = 0.05\n"
+            "mean.A*H = 0.204 -0.088 -0.271\n"
+            "metric.A*O = identity\n")
+    prior = load_config(write(tmp_path, text)).prior
+    assert prior.scales == {"default": 1.0, ("H", "A"): 0.05}
+    assert set(prior.means) == {("H", "A")}
+    assert prior.metric == {"default": "information",
+                            ("O", "A"): "identity"}
+
+
 def test_data_section_levels(tmp_path):
     text = ("[experiment]\ntask = prior-probs\n\n"
             "[data]\n"

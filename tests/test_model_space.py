@@ -238,6 +238,16 @@ HIERARCHICAL_SPECS = {
     "no-candidates": (FactorSpec(
         factors=(("A", 2), ("B", 3)),
         forced_terms=_terms("AB", 0, 1)), 1),
+    # The forced pair's margins are candidates; only C and the pairs
+    # with C are left to choose.
+    "forced-pair-margins": (FactorSpec(
+        factors=(("A", 2), ("B", 3), ("C", 2)),
+        forced_terms=((), ("A", "B")),
+        candidate_terms=_terms("ABC", 1) + (("A", "C"), ("B", "C"))), 5),
+    "forced-quad": (FactorSpec(
+        factors=tuple((n, 2) for n in "ABCD"),
+        forced_terms=((), ("A", "B", "C", "D")),
+        candidate_terms=_terms("ABCD", 1, 2, 3)), 1),
 }
 
 
@@ -251,16 +261,35 @@ def test_enumerate_hierarchical_equals_the_subset_filter(name):
 
 def test_enumerate_hierarchical_tests_hierarchy_at_most_twice_per_model(
         monkeypatch):
-    # The filter over all 2^10 candidate subsets made 1,137 calls here.
+    # Every set grown is hierarchical by construction, so no set is
+    # tested for hierarchy or has its terms normalized again.
     calls = []
+    loglinear = ModelId.loglinear
 
     def counted(terms):
-        calls.append(1)
+        calls.append(terms)
         return is_hierarchical(terms)
+
+    def counted_loglinear(spec, terms):
+        calls.append(terms)
+        return loglinear(spec, terms)
     monkeypatch.setattr("jointbma.model_space.is_hierarchical", counted)
-    spec, count = HIERARCHICAL_SPECS["pairs-and-triples-2x2x2x2"]
-    assert len(enumerate_hierarchical_models(spec)) == count
-    assert len(calls) <= 2 * count
+    monkeypatch.setattr(ModelId, "loglinear", counted_loglinear)
+    for spec, count in HIERARCHICAL_SPECS.values():
+        assert len(enumerate_hierarchical_models(spec)) == count
+    assert calls == []
+
+
+@pytest.mark.parametrize("forced, candidates", [
+    ((), (("A", "B"), ("B", "A"))),
+    (((), ("A",), ("A",)), ()),
+    (((), ("A",)), (("A",), ("B",))),
+    (("A",), ("A",)),
+])
+def test_factor_spec_rejects_a_term_listed_twice(forced, candidates):
+    with pytest.raises(SpecificationError, match="listed twice"):
+        FactorSpec(factors=(("A", 2), ("B", 3)), forced_terms=forced,
+                   candidate_terms=candidates)
 
 
 def test_enumerate_hierarchical_rejects_open_margin():
