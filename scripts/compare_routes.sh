@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Compare the command-line output of the routes that scripts/check_bytes.sh
-# does not pin, between revision REV and the working tree:
+# does not pin, and the stdout of demos/04_rjmcmc_loglinear.py, between
+# revision REV and the working tree:
 #
 #   scripts/compare_routes.sh REV
 #
-# REV's src/ is exported with `git archive` into a temporary directory.
-# Each config below runs once on REV's package and once on the working
-# tree's, with the same interpreter on the same machine, so the check
+# REV's src/ and demos/ are exported with `git archive` into a temporary
+# directory. Each config below runs once on REV's package and once on the
+# working tree's, and the demo runs as each side's own copy on its own
+# package, with the same interpreter on the same machine, so the check
 # does not depend on which numpy, OpenBLAS or CPU kernel is in use. It
 # exits non-zero when a route's stdout or exit code differs between the
 # two, or when a route exits non-zero on either side (a config that
@@ -18,11 +20,11 @@ if [ "$#" -ne 1 ]; then
   exit 2
 fi
 cd "$(dirname "$0")/.."
-tree=$PWD/src
+tree=$PWD
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/rev"
-git archive "$1" src | tar -x -C "$tmp/rev"
+git archive "$1" src demos | tar -x -C "$tmp/rev"
 
 python3 - "$tmp" <<'EOF'
 import itertools
@@ -62,20 +64,37 @@ candidates = A*B, A*C, B*C
 "
 
 status=0
+# run NAME SIDE ROOT COMMAND...: run COMMAND in $tmp on the package under
+# ROOT/src, keeping its stdout, stderr and exit code for compare.
+run() {
+  local name=$1 side=$2 root=$3 code=0
+  shift 3
+  (cd "$tmp" && PYTHONPATH=$root/src "$@" > "$tmp/$name.$side.out" \
+    2> "$tmp/$name.$side.err") || code=$?
+  echo "$code" > "$tmp/$name.$side.code"
+}
+
 # route NAME TASK: run the config read from stdin on both sides.
 route() {
-  local name=$1 task=$2 side code
-  local cfg=$tmp/$name.ini
-  cat > "$cfg"
-  for side in rev tree; do
-    local src=$tmp/rev/src
-    [ "$side" = tree ] && src=$tree
-    code=0
-    (cd "$tmp" && PYTHONPATH=$src python3 -m jointbma "$task" \
-      --config "$cfg" > "$tmp/$name.$side.out" 2> "$tmp/$name.$side.err") \
-      || code=$?
-    echo "$code" > "$tmp/$name.$side.code"
-  done
+  local name=$1 task=$2
+  cat > "$tmp/$name.ini"
+  run "$name" rev "$tmp/rev" python3 -m jointbma "$task" \
+    --config "$tmp/$name.ini"
+  run "$name" tree "$tree" python3 -m jointbma "$task" \
+    --config "$tmp/$name.ini"
+  compare "$name"
+}
+
+# demo NAME FILE: run each side's own copy of the demo FILE.
+demo() {
+  run "$1" rev "$tmp/rev" python3 "$tmp/rev/$2"
+  run "$1" tree "$tree" python3 "$tree/$2"
+  compare "$1"
+}
+
+# compare NAME: report whether both sides gave the same stdout and code.
+compare() {
+  local name=$1
   if ! cmp -s "$tmp/$name.rev.code" "$tmp/$name.tree.code" ||
      ! cmp -s "$tmp/$name.rev.out" "$tmp/$name.tree.out"; then
     echo "DIFFERS  $name"
@@ -325,5 +344,9 @@ seed = 7
 source = generator
 generator = nott_kohn
 EOF
+
+# The only caller outside the tests of log_marginal_laplace and of
+# term-block priors on a bare FactorSpec.
+demo demo-04-rjmcmc-loglinear demos/04_rjmcmc_loglinear.py
 
 exit "$status"

@@ -1,15 +1,15 @@
 """Shared dense linear-algebra kernel.
 
 Every determinant and quadratic form in the package starts from the
-Cholesky routines here, in log space. A prior's quadratic form (in the
-joint RJ chain and the Laplace marginal alike) goes through the inverse
-factor L^{-1} from inv_factor, as ||L^{-1} x||^2, a matmul in place of
-a triangular solve; quad_form, the solve, can differ from it in the
-last bits and serves the tests as their oracle. Near-singular matrices
-(condition number above COND_CAP estimated from the factor) are
-rejected rather than regularized, so exactness identities downstream
-stay meaningful. chol_factor and factor_logdet also take a stack of
-matrices.
+Cholesky routines here, in log space, and every inverse from a factor L
+is inv_factor's L^{-1} and L^{-T} L^{-1}. A prior's quadratic form (in
+the joint RJ chain and the Laplace marginal alike) goes through L^{-1},
+as ||L^{-1} x||^2, a matmul in place of a triangular solve; quad_form,
+the solve, can differ from it in the last bits and serves the tests as
+their oracle. Near-singular matrices (condition number above COND_CAP
+estimated from the factor) are rejected rather than regularized, so
+exactness identities downstream stay meaningful. chol_factor and
+factor_logdet also take a stack of matrices.
 """
 import numpy as np
 
@@ -105,17 +105,17 @@ def quad_form(L, x):
 
 
 def inv_factor(L):
-    """L^{-1} for a lower Cholesky factor L of A (0x0 for d = 0): then
-    x' A^{-1} x = ||L^{-1} x||^2, and L^{-T} z with z standard normal is
-    a N(0, A^{-1}) draw."""
-    return np.linalg.solve(L, np.eye(L.shape[0]))
+    """(L^{-1}, A^{-1} = L^{-T} L^{-1}) for a lower Cholesky factor L of A
+    (0x0 for d = 0): x' A^{-1} x = ||L^{-1} x||^2, and L^{-T} z with z
+    standard normal is a N(0, A^{-1}) draw."""
+    W = np.linalg.solve(L, np.eye(L.shape[0]))
+    return W, np.linalg.solve(L.T, W)
 
 
 def inv_pd(a, what="matrix"):
     """Inverse of a symmetric positive definite matrix via its factor,
     symmetrized as (inv + inv') / 2."""
-    L = chol_factor(a, what)
-    inv = chol_solve(L, np.eye(L.shape[0]))
+    inv = inv_factor(chol_factor(a, what))[1]
     return 0.5 * (inv + inv.T)
 
 

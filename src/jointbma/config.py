@@ -285,12 +285,17 @@ def _parse_policies(parser):
 
 
 def _parse_prior(parser, space):
-    """[prior]; with a [space], per-term keys are read in its factor
-    order, and a per-term key without its plain key applies over the
-    plain key's default."""
+    """[prior]; only term_blocks takes scale, metric and per-term keys,
+    which with a [space] are read in its factor order, a per-term key
+    without its plain key applying over the plain key's default."""
     section = _keys(parser, "prior")
     template = _get(section, "template", _choice(
         "prior template", ("gprior", "identity", "term_blocks")))
+    stray = [key for key in section
+             if key.split(".")[0] in ("scale", "mean", "metric")]
+    if stray and template != "term_blocks":
+        raise ParseError(
+            f"config key [prior] {stray[0]} needs template = term_blocks")
     term = parse_term if space is None else \
         lambda text: space.normalize_term(parse_term(text))
     scales = _dotted(section, "scale", float, term)

@@ -16,6 +16,9 @@ exact whenever l is quadratic; the (2 pi)^{d/2} factors cancel
 identically. 'at_mle' expands around the unpenalized maximum and prices
 the prior at that point, the classical O(n^{-1}) flavor. Both are tagged
 on the result so downstream normalization knows what it is averaging.
+_map_laplace owns the expansion at the mode that the 'at_map' marginal
+and rj_sampler's joint chain read: Newton factors V^{-1} - H once, and
+_laplace_const turns the factor into d log 2pi - log|V^{-1} - H|.
 """
 from dataclasses import dataclass, field, replace
 import math
@@ -200,7 +203,8 @@ def _newton(model, start, tol, max_iter, v_inv=None, mu=None):
     prior (v_inv, mu; MAP). Without a prior it fits the MLE, the MAP fit
     at zero prior precision: subtracting an exact zero changes no value,
     gradient or curvature. The objective is concave for both likelihood
-    classes here, so step halving is only rounding insurance."""
+    classes here, so step halving is only rounding insurance. Returns the
+    fit and its curvature -H + v_inv's Cholesky factor (empty at d = 0)."""
     beta = np.asarray(start, dtype=float).copy()
     kind = "mle" if v_inv is None else "map"
     if v_inv is None:
@@ -220,7 +224,7 @@ def _newton(model, start, tol, max_iter, v_inv=None, mu=None):
             "the log-likelihood is not finite at the Newton start")
     if beta.shape[0] == 0:
         return GlmFit(beta=beta, value=value, grad_norm=0.0, iterations=0,
-                      kind=kind)
+                      kind=kind), np.zeros((0, 0))
     for it in range(1, max_iter + 1):
         g = gradient(beta)
         gnorm = float(np.max(np.abs(g)))
@@ -244,7 +248,7 @@ def _newton(model, start, tol, max_iter, v_inv=None, mu=None):
         # fit as degenerate instead of reporting a false convergence.
         if gnorm < tol and float(np.max(np.abs(step))) < 1e-6:
             return GlmFit(beta=beta, value=value, grad_norm=gnorm,
-                          iterations=it - 1, kind=kind)
+                          iterations=it - 1, kind=kind), L
         scale = 1.0
         for _ in range(40):
             trial = beta + scale * step
@@ -278,20 +282,22 @@ def fit_mle_poisson(X, y, tol=1e-8, max_iter=100):
     run past the domain bound stop with DegenerateDataError instead of
     chasing a maximum at infinity."""
     model = PoissonLogLinear(X, y)
-    return _newton(model, np.zeros(model.dim), tol, max_iter)
+    return _newton(model, np.zeros(model.dim), tol, max_iter)[0]
 
 
 def _map_laplace(model, prior, tol=1e-8, max_iter=100):
     """The Laplace expansion of one model at its posterior mode under the
-    N(mu, V) prior: the prior factored once, the mode fitted by Newton
-    from mu, and the curvature V^{-1} - H there factored. Returns the
-    fit, the curvature's Cholesky factor L and _factor_prior's W_V and
-    density constant."""
+    N(mu, V) prior, fitted by Newton from mu: the fit, Newton's factor L
+    of V^{-1} - H there, and _factor_prior's W_V and density constant."""
     W_V, v_inv, _, const = _factor_prior(prior, model.dim)
-    fit = _newton(model, prior.mu.copy(), tol, max_iter,
-                  v_inv=v_inv, mu=prior.mu)
-    curvature = model.neg_hessian(fit.beta) + v_inv
-    return fit, chol_factor(curvature, "Laplace curvature"), W_V, const
+    fit, L = _newton(model, prior.mu.copy(), tol, max_iter,
+                     v_inv=v_inv, mu=prior.mu)
+    return fit, L, W_V, const
+
+
+def _laplace_const(L):
+    """d log 2pi - log|A| of N(mode, A^{-1}) from A's Cholesky factor L."""
+    return L.shape[0] * math.log(2.0 * math.pi) - factor_logdet(L)
 
 
 def fit_map_poisson(X, y, prior, tol=1e-8, max_iter=100):
@@ -304,8 +310,7 @@ def log_marginal_laplace_model(model, prior, variant="at_map",
                                tol=1e-8, max_iter=100):
     """Laplace log marginal for any likelihood exposing loglik, grad,
     neg_hessian, dim, and domain_bound. At the mode it is the joint
-    chain's log target there (log weight 0) plus half the log-density
-    constant d log 2pi - log|V^{-1} - H| of its Laplace proposal."""
+    chain's log target there (log weight 0) plus half _laplace_const."""
     if variant not in ("at_map", "at_mle"):
         raise SpecificationError(
             f"unknown Laplace variant {variant!r}; expected 'at_map' or "
@@ -315,12 +320,11 @@ def log_marginal_laplace_model(model, prior, variant="at_map",
         method = "laplace_penalized"
     else:
         W_V, _, _, const = _factor_prior(prior, model.dim)
-        fit = _newton(model, np.zeros(model.dim), tol, max_iter)
-        L = chol_factor(model.neg_hessian(fit.beta), "Laplace curvature")
+        fit, L = _newton(model, np.zeros(model.dim), tol, max_iter)
         method = "laplace"
     value = (model.loglik(fit.beta)
              + _log_density_factored(fit.beta, prior.mu, W_V, const)
-             + 0.5 * (model.dim * math.log(2.0 * math.pi) - factor_logdet(L)))
+             + 0.5 * _laplace_const(L))
     return LogMarginal(value=value, method=method, convention="proper")
 
 

@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 from ._linalg import check_factor, chol_factor, chol_solve, cholesky, \
-    factor_logdet, log_sum_exp
+    factor_logdet, inv_factor, log_sum_exp
 from .averaging import LogMarginal, ModelPosterior
 from .exceptions import ContractError, DegenerateDataError, JointBmaError, \
     NumericalDomainError, SpecificationError
@@ -219,7 +219,7 @@ def posterior_moments(data, m, prior):
     d = Xm.shape[1]
     L_prec, beta_tilde, logml, s = _update(
         Xm, data.y, data.yty, prior, _prior_terms(prior, d))
-    Vstar = chol_solve(L_prec, np.eye(d))
+    Vstar = inv_factor(L_prec)[1]
     Vstar = 0.5 * (Vstar + Vstar.T)
     return LinearPosterior(m=m, Vstar=Vstar, beta_tilde=beta_tilde,
                            a_post=prior.alpha + 0.5 * data.n,

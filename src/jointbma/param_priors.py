@@ -331,9 +331,7 @@ def _factor_prior(prior, d):
             f"likelihood dimension {d} does not match prior dimension "
             f"{prior.d}")
     L = chol_factor(prior.variance(), "prior variance V")
-    W = inv_factor(L)
-    # L^{-T} W is chol_solve(L, I): the same two solves.
-    v_inv = np.linalg.solve(L.T, W)
+    W, v_inv = inv_factor(L)
     if not np.all(np.isfinite(v_inv)):
         raise NumericalDomainError("prior variance V has no finite inverse")
     ld_v = factor_logdet(L)

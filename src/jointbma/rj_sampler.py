@@ -9,14 +9,15 @@ directions and the neighbor-count ratio. Within-model moves are a
 Gaussian random walk scaled by the Laplace standard deviations. A
 model's neighbors are formed on its first visit or proposal.
 
-The joint chain forms everything per model once per run: the prior's
-inverse factor L_V^{-1}, the Laplace mode, the proposal's factor L and
-L^{-T}, and the random-walk scales. An iteration then does matmuls
-only. A jump's proposal is mode + L^{-T} z with z standard normal, so
-its log density is -(c + z'z)/2 from the draw itself; the current
-state's density is kept until a within-model move changes it. Each
-iteration evaluates one log target, the proposal's: the prior quadratic
-form plus the log-likelihood.
+The joint chain forms each model's set-up once per run, in _ModelSetup,
+from its Laplace expansion and log weight: the mode, L^{-T} and L' of
+Newton's curvature factor L, the proposal's constant, the random-walk
+scales and the log target. An iteration then does matmuls only. A
+jump's proposal is mode + L^{-T} z with z standard normal, so its log
+density is -(c + z'z)/2 from the draw itself; the current state's
+density is kept until a within-model move changes it. Each iteration
+evaluates one log target, the proposal's: the prior quadratic form plus
+the log-likelihood.
 
 Normal linear spaces never need the joint chain: (beta, sigma^2)
 integrate out exactly, so the sampler collapses to a Metropolized walk
@@ -34,10 +35,10 @@ import math
 
 import numpy as np
 
-from ._linalg import chol_solve, factor_logdet, inv_factor
+from ._linalg import inv_factor
 from .exceptions import ContractError
-from .glm_laplace import ContingencyTable, PoissonLogLinear, _map_laplace, \
-    unit_info_for_model
+from .glm_laplace import ContingencyTable, PoissonLogLinear, \
+    _laplace_const, _map_laplace, unit_info_for_model
 from .linear_exact import LinearDataset, log_marginal_nig
 from .model_space import INFO_VARIANTS, FactorSpec, LinearSubsets, \
     log_prior_model_weight, model_lookup
@@ -314,31 +315,18 @@ def _run_joint(models, priors, policy, data, likelihoods, config, kind):
     rng, neighbors = _walk(models, config)
     # Everything a log target or a proposal needs is formed once per run
     # and lives only as long as it does; caching it on ParamPrior would
-    # keep a factor alive for every prior a caller holds. The loop then
-    # does matmuls only: the prior quadratic form through W_V = L_V^{-1},
-    # a proposal draw through L^{-T}. Every model is fitted before the
-    # policy prices any, so a prior that cannot be fitted fails in Newton
-    # whatever the policy.
-    modes, chols, inv_chol_ts, q_consts, step_sds, densities = \
-        [], [], [], [], [], []
-    for m in models:
-        prior = priors[m]
-        # The Laplace proposal N(mode, (V^{-1} - H)^{-1}); its standard
-        # deviations also scale the within-model random walk.
-        fit, L, W_V, const = _map_laplace(likelihoods[m], prior)
-        densities.append((prior.mu, W_V, const, likelihoods[m].loglik))
-        modes.append(fit.beta)
-        chols.append(L)
-        inv_chol_ts.append(inv_factor(L).T)
-        q_consts.append(prior.d * math.log(2.0 * math.pi) - factor_logdet(L))
-        cov = chol_solve(L, np.eye(prior.d))
-        step_sds.append(config.within_model_scale * np.sqrt(np.diag(cov)))
+    # keep a factor alive for every prior a caller holds. Every model is
+    # fitted before the policy prices any, so a prior that cannot be
+    # fitted fails in Newton whatever the policy.
+    expansions = [_map_laplace(likelihoods[m], priors[m]) for m in models]
     lw = _policy_weights(models, priors, policy, data)
-    targets = [_log_target(w, *terms) for w, terms in zip(lw, densities)]
+    setups = [_ModelSetup(e, w, likelihoods[m].loglik, priors[m].mu,
+                          config.within_model_scale)
+              for e, w, m in zip(expansions, lw, models)]
 
     idx = config.start_index
-    beta = modes[idx].copy()
-    value = targets[idx](beta)
+    beta = setups[idx].mode.copy()
+    value = setups[idx].target(beta)
     # q(beta) of the current state under its own Laplace proposal, or
     # None after a within-model move until the next jump forms it. A
     # proposal's q comes from its draw z: L'(mode + L^{-T} z - mode) is z
@@ -357,13 +345,15 @@ def _run_joint(models, priors, policy, data, likelihoods, config, kind):
             if rng.random() < config.jump_prob and nbr:
                 attempt_jump += 1
                 prop_idx = nbr[int(rng.integers(len(nbr)))]
-                z = rng.standard_normal(modes[prop_idx].shape[0])
-                prop_beta = modes[prop_idx] + inv_chol_ts[prop_idx] @ z
-                prop_value = targets[prop_idx](prop_beta)
-                prop_q = -0.5 * (q_consts[prop_idx] + float(z @ z))
+                prop = setups[prop_idx]
+                z = rng.standard_normal(prop.mode.shape[0])
+                prop_beta = prop.mode + prop.inv_chol_t @ z
+                prop_value = prop.target(prop_beta)
+                prop_q = -0.5 * (prop.q_const + float(z @ z))
                 if q_value is None:
-                    u = chols[idx].T @ (beta - modes[idx])
-                    q_value = -0.5 * (q_consts[idx] + float(u @ u))
+                    here = setups[idx]
+                    u = here.chol_t @ (beta - here.mode)
+                    q_value = -0.5 * (here.q_const + float(u @ u))
                 log_alpha = (prop_value - value + q_value - prop_q
                              + log_degree - neighbors[prop_idx][1])
                 if math.log(rng.random()) < log_alpha:
@@ -372,8 +362,8 @@ def _run_joint(models, priors, policy, data, likelihoods, config, kind):
                     accept_jump += 1
             else:
                 attempt_within += 1
-                beta, value, ok = rwm_step(targets[idx], beta, value,
-                                           step_sds[idx], rng)
+                beta, value, ok = rwm_step(setups[idx].target, beta, value,
+                                           setups[idx].step_sd, rng)
                 if ok:
                     accept_within += 1
                     q_value = None
@@ -389,13 +379,21 @@ def _run_joint(models, priors, policy, data, likelihoods, config, kind):
                    coefficients=tuple(coef) if coef is not None else None)
 
 
-def _log_target(log_weight, mu, W_V, const, loglik):
-    """One model's joint log target beta -> log weight + log prior
-    density + log-likelihood, from _factor_prior's terms."""
-    def target(beta):
-        return log_weight + _log_density_factored(beta, mu, W_V, const) \
-            + loglik(beta)
-    return target
+class _ModelSetup:
+    """One model's joint-chain set-up from its _map_laplace expansion and
+    log weight; the random walk steps by the proposal's sds times scale."""
+
+    def __init__(self, expansion, log_weight, loglik, mu, scale):
+        fit, L, W_V, const = expansion
+        inv_chol, cov = inv_factor(L)
+        self.mode, self.inv_chol_t, self.chol_t = fit.beta, inv_chol.T, L.T
+        self.q_const = _laplace_const(L)
+        self.step_sd = scale * np.sqrt(np.diag(cov))
+
+        def target(beta):
+            return log_weight + _log_density_factored(beta, mu, W_V, const) \
+                + loglik(beta)
+        self.target = target
 
 
 def estimate_model_probs(chain, burn_in=None, thin=None):

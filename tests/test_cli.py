@@ -1282,6 +1282,9 @@ SHRINKAGE_GRID = "inv_c2_grid = 1e-4,1e-2,3\n"
 TERM_BLOCKS = "[prior]\ntemplate = term_blocks\n"
 TWO_BY_TWO = "\n[space]\nfactors = A:2, B:2\nforced = 1, A, B\n"
 NO_MEMORY = "error: the request does not fit in memory: "
+PER_TERM_KEYS = "scale.X*Y = 5\nmean.Z = 1 2 3\nmetric.Q = bogus\n"
+PER_TERM_KEYS_REJECTED = \
+    "config key [prior] scale.X*Y needs template = term_blocks"
 
 
 @pytest.mark.parametrize("task, section, message", [
@@ -1344,6 +1347,12 @@ NO_MEMORY = "error: the request does not fit in memory: "
     ("rjmcmc", "[rjmcmc]\niterations = 1000000000000000\n", NO_MEMORY),
     ("cv", "[cv]\nmode = gelfand\nnum_draws = 1000000000000000\n",
      NO_MEMORY),
+    # Per-term keys apply to term_blocks only; a linear task ignored them.
+    ("sweep", "[prior]\nc2_grid = 1,100,3\n" + PER_TERM_KEYS,
+     PER_TERM_KEYS_REJECTED),
+    ("cv", "[prior]\n" + PER_TERM_KEYS, PER_TERM_KEYS_REJECTED),
+    ("rjmcmc", "[prior]\ntemplate = identity\n" + PER_TERM_KEYS,
+     PER_TERM_KEYS_REJECTED),
 ], ids=["cv-covariate-float", "cv-covariate-text", "cv-covariate-repeated",
         "calibrated-n0-nan",
         "calibrated-psi0-inf", "shrinkage-n-inf", "shrinkage-sigma2-inf",
@@ -1358,7 +1367,9 @@ NO_MEMORY = "error: the request does not fit in memory: "
         "shrinkage-grid-missing", "prior-probs-space-missing",
         "linear-rjmcmc-two-variants", "rjmcmc-keeps-too-few-draws",
         "sweep-c2-grid-too-long", "shrinkage-inv-c2-grid-too-long",
-        "linear-rjmcmc-iterations-too-many", "cv-gelfand-draws-too-many"])
+        "linear-rjmcmc-iterations-too-many", "cv-gelfand-draws-too-many",
+        "sweep-per-term-keys", "cv-per-term-keys",
+        "linear-rjmcmc-per-term-keys"])
 def test_malformed_or_non_finite_key_exits_2(tmp_path, capsys, task,
                                              section, message):
     data_path = str(tmp_path / "d.csv")

@@ -169,6 +169,25 @@ def test_prior_dotted_keys_follow_the_space_factor_order(tmp_path):
                             ("O", "A"): "identity"}
 
 
+@pytest.mark.parametrize("template", [None, "gprior", "identity"])
+@pytest.mark.parametrize("key", ["scale = 2", "metric = identity",
+                                 "scale.A = 2", "mean.A = 1",
+                                 "metric.A = identity"])
+def test_term_block_keys_need_the_term_blocks_template(tmp_path, template,
+                                                       key):
+    # Only term_blocks reads scale, metric and the per-term keys; under
+    # any other template they are rejected, not ignored.
+    line = "" if template is None else f"template = {template}\n"
+    text = f"[experiment]\ntask = sweep\n\n[prior]\n{line}{key}\n"
+    with pytest.raises(ParseError) as exc:
+        load_config(write(tmp_path, text))
+    assert str(exc.value) == (f"config key [prior] {key.split()[0]} needs "
+                              "template = term_blocks")
+    text = f"[experiment]\ntask = sweep\n\n[prior]\n" \
+           f"template = term_blocks\n{key}\n"
+    assert load_config(write(tmp_path, text)).prior.template == "term_blocks"
+
+
 def test_data_section_levels(tmp_path):
     text = ("[experiment]\ntask = prior-probs\n\n"
             "[data]\n"

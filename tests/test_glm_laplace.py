@@ -12,6 +12,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import multivariate_normal, poisson
 
+from jointbma._linalg import chol_factor, factor_logdet
 from jointbma.exceptions import ContractError, ConvergenceError, \
     DegenerateDataError, NumericalDomainError, SpecificationError
 from jointbma.glm_laplace import ContingencyTable, PoissonLogLinear, \
@@ -19,9 +20,11 @@ from jointbma.glm_laplace import ContingencyTable, PoissonLogLinear, \
     log_marginal_laplace, log_marginal_laplace_model, term_block_prior, \
     unit_info_for_model
 from jointbma.model_space import FactorSpec, ModelId
-from jointbma.param_priors import ParamPrior, log_prior_density
+from jointbma.param_priors import ParamPrior, _factor_prior, \
+    _log_density_factored, log_prior_density
 
 from likelihoods import GaussianKnownVar
+from tables import empty_model_table, three_way_table
 
 
 @pytest.fixture
@@ -189,8 +192,8 @@ def test_newton_fit_kind_follows_the_prior(spec22):
     model = PoissonLogLinear(X, counts)
     with pytest.raises(DegenerateDataError, match="MLE diverges"):
         _newton(model, np.zeros(2), 1e-8, 100)
-    fit = _newton(model, np.zeros(2), 1e-8, 100, v_inv=np.eye(2),
-                  mu=np.zeros(2))
+    fit, _ = _newton(model, np.zeros(2), 1e-8, 100, v_inv=np.eye(2),
+                     mu=np.zeros(2))
     assert fit.kind == "map" and fit.iterations > 0
     assert fit_mle_poisson(X, np.array([12.0, 7.0, 9.0, 22.0])).kind == "mle"
 
@@ -203,6 +206,39 @@ def test_newton_start_with_an_overflowing_objective_is_a_domain_error():
     with pytest.raises(NumericalDomainError, match="not finite at the "
                                                    "Newton start"):
         _newton(model, start, 1e-8, 100, v_inv=np.eye(1), mu=start)
+
+
+@pytest.mark.parametrize("space", [three_way_table, empty_model_table])
+def test_newton_factor_is_the_laplace_curvature_factor(space):
+    # Newton's last step factors -H + v_inv at the mode it returns (v_inv
+    # is zero for the MLE), so the Laplace marginal reads that factor
+    # instead of factoring the curvature again. Oracle: the curvature
+    # refactored at the mode (V^{-1} - H for MAP, -H alone for the MLE),
+    # and the marginal's formula on that factor. empty_model_table's
+    # first model has d = 0.
+    table, models, priors = space()
+    for m in models:
+        model = PoissonLogLinear(table.design(m).X, table.counts)
+        prior = priors[m]
+        W_V, v_inv, _, const = _factor_prior(prior, m.d)
+        fits = {
+            "at_map": (_newton(model, prior.mu.copy(), 1e-8, 100,
+                               v_inv=v_inv, mu=prior.mu), v_inv),
+            "at_mle": (_newton(model, np.zeros(m.d), 1e-8, 100),
+                       np.zeros((m.d, m.d)))}
+        for variant, ((fit, L), penalty) in fits.items():
+            hessian = model.neg_hessian(fit.beta)
+            assert np.array_equal(L, chol_factor(hessian + penalty))
+            if variant == "at_map":
+                hessian = hessian + penalty
+            refactored = chol_factor(hessian, "Laplace curvature")
+            expected = (model.loglik(fit.beta)
+                        + _log_density_factored(fit.beta, prior.mu, W_V,
+                                                const)
+                        + 0.5 * (m.d * math.log(2.0 * math.pi)
+                                 - factor_logdet(refactored)))
+            got = log_marginal_laplace_model(model, prior, variant).value
+            assert got == expected, (m.label(), variant)
 
 
 class Cliff:

@@ -64,12 +64,14 @@ def test_chol_solve_and_quad_form():
 def test_inv_factor_matches_triangular_solve_oracles(d, seed):
     # The joint chain's matmul forms against the triangular solves they
     # replace: ||L^{-1} x||^2 against quad_form, and a proposal
-    # mode + L^{-T} z against mode + solve(L', z).
+    # mode + L^{-T} z against mode + solve(L', z). The inverse is
+    # chol_solve(L, I) to the bit: the same two solves.
     rng = np.random.default_rng(seed)
     a = random_spd(rng, d) * 10.0 ** rng.uniform(-3.0, 3.0)
     L = chol_factor(a)
-    W = inv_factor(L)
-    assert W.shape == (d, d)
+    W, inv = inv_factor(L)
+    assert W.shape == inv.shape == (d, d)
+    assert np.array_equal(inv, chol_solve(L, np.eye(d)))
     x = 3.0 * rng.standard_normal(d)
     z = W @ x
     assert float(z @ z) == pytest.approx(quad_form(L, x), rel=1e-12, abs=0.0)

@@ -31,13 +31,14 @@ from jointbma.model_space import Baseline, FactorSpec, LinearSubsets, \
     ModelId, ModelPriorPolicy, enumerate_hierarchical_models, \
     enumerate_linear_models, log_prior_model_weight
 from jointbma.param_priors import ParamPrior, _factor_prior, \
-    log_prior_density, prior_for_linear_model
-from jointbma.rj_sampler import RjChain, SamplerConfig, _log_target, \
+    _log_density_factored, log_prior_density, prior_for_linear_model
+from jointbma.rj_sampler import RjChain, SamplerConfig, \
     _policy_weights, _run_linear_collapsed, _walk, batch_means_se, \
     chain_to_csv, estimate_model_probs, rjmcmc_run, rwm_step
 
 from likelihoods import GaussianKnownVar
 from neighbors import toggle_neighbors
+from tables import empty_model_table, three_way_table
 
 
 def test_rwm_acceptance_rate_matches_closed_form():
@@ -350,22 +351,6 @@ def test_table_route_matches_laplace_enumeration():
         assert abs(est.probs[i] - exact.probs[i]) < tol
 
 
-def three_way_table():
-    """A 2x2x2 Poisson table, its eight hierarchical models (every
-    two-factor interaction optional) and their term-block priors."""
-    spec = FactorSpec(factors=(("A", 2), ("B", 2), ("C", 2)),
-                      forced_terms=((), ("A",), ("B",), ("C",)),
-                      candidate_terms=(("A", "B"), ("A", "C"), ("B", "C")))
-    models = enumerate_hierarchical_models(spec)
-    rng = np.random.default_rng(77)
-    main = ModelId.loglinear(spec, [(), ("A",), ("B",), ("C",)])
-    eta = build_design(spec, main).X @ np.array([3.0, 0.4, -0.3, 0.2])
-    table = ContingencyTable(spec=spec,
-                             counts=rng.poisson(np.exp(eta)).astype(float))
-    priors = {m: term_block_prior(spec, m, scales=2.0) for m in models}
-    return table, models, priors
-
-
 def test_table_chain_log_target_equals_public_density():
     # The chain evaluates the prior density from factors cached for the
     # run; the public log_prior_density, which factors V on every call,
@@ -403,18 +388,6 @@ def test_table_route_builds_each_design_once(monkeypatch):
                SamplerConfig(iterations=50, seed=5))
     assert sorted(built, key=models.index) == list(models)
     assert not table.design(models[0]).X.flags.writeable
-
-
-def empty_model_table():
-    """A 2x3 table whose space, with the intercept selectable, holds a
-    model with no parameters, and its term-block priors."""
-    spec = FactorSpec(factors=(("A", 2), ("B", 3)),
-                      candidate_terms=((), ("A",), ("B",)))
-    models = enumerate_hierarchical_models(spec)
-    table = ContingencyTable(spec=spec,
-                             counts=np.array([1.0, 2.0, 1.0, 0.0, 1.0, 1.0]))
-    priors = {m: term_block_prior(spec, m, scales=2.0) for m in models}
-    return table, models, priors
 
 
 def test_table_chain_through_empty_model_matches_public_density():
@@ -464,6 +437,41 @@ def test_table_chain_factors_each_prior_once(monkeypatch):
     assert counts[0] == counts[1] == len(models)
 
 
+def test_table_chain_set_up_inverts_newtons_factor_once(monkeypatch):
+    # Newton hands its curvature factor to the set-up, so the chain makes
+    # no factorization of its own at the mode, and inverts that factor
+    # with one identity solve; the prior's factor takes the other one.
+    table, models, priors = three_way_table()
+    real_factor, real_solve = jointbma._linalg.chol_factor, np.linalg.solve
+    whats, curvatures, identity_solves = [], [], []
+
+    def counting_factor(a, what="matrix"):
+        L = real_factor(a, what)
+        whats.append(what)
+        if what == "Newton curvature":
+            curvatures.append(L)
+        return L
+
+    def counting_solve(a, b):
+        if b.ndim == 2 and np.array_equal(b, np.eye(b.shape[0])):
+            identity_solves.append(a)
+        return real_solve(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("jointbma") and \
+                getattr(module, "chol_factor", None) is real_factor:
+            monkeypatch.setattr(module, "chol_factor", counting_factor)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    rjmcmc_run(list(models), priors, ModelPriorPolicy(variant="uniform"),
+               table, SamplerConfig(iterations=200, seed=5))
+    assert set(whats) == {"prior variance V", "Newton curvature"}
+    assert whats.count("prior variance V") == len(models)
+    on_curvature = [a for a in identity_solves
+                    if any(a is L for L in curvatures)]
+    assert len(on_curvature) == len(models)
+    assert len(identity_solves) == 2 * len(models)
+
+
 @pytest.mark.parametrize("space", [three_way_table, empty_model_table])
 def test_chain_target_at_mode_is_the_laplace_marginal(space, monkeypatch):
     # The chain's per-model set-up is the Laplace expansion that
@@ -474,12 +482,14 @@ def test_chain_target_at_mode_is_the_laplace_marginal(space, monkeypatch):
     table, models, priors = space()
     policy = ModelPriorPolicy(variant="uniform")
     targets = []
+    real_setup = rj_sampler._ModelSetup
 
     def spy(*args):
-        targets.append(_log_target(*args))
-        return targets[-1]
+        setup = real_setup(*args)
+        targets.append(setup.target)
+        return setup
 
-    monkeypatch.setattr(rj_sampler, "_log_target", spy)
+    monkeypatch.setattr(rj_sampler, "_ModelSetup", spy)
     rjmcmc_run(list(models), priors, policy, table,
                SamplerConfig(iterations=10, seed=3))
     lw = _policy_weights(models, priors, policy, table)
@@ -497,6 +507,14 @@ def q_logpdf(L, mode, q_const, beta):
     with q_const = d log 2pi - log|L L'|."""
     u = L.T @ (beta - mode)
     return -0.5 * (q_const + float(u @ u))
+
+
+def log_target(log_weight, mu, W_V, const, loglik):
+    """beta -> log weight + log N(mu, V) density + log-likelihood, added
+    in the chain's order, from _factor_prior's W_V and constant."""
+    return lambda beta: (log_weight
+                         + _log_density_factored(beta, mu, W_V, const)
+                         + loglik(beta))
 
 
 def oracle_joint_chain(models, priors, policy, data, config):
@@ -518,8 +536,8 @@ def oracle_joint_chain(models, priors, policy, data, config):
     for i, m in enumerate(models):
         prior = priors[m]
         W_V, _, _, const = _factor_prior(prior, prior.d)
-        targets.append(_log_target(lw[i], prior.mu, W_V, const,
-                                   likelihoods[m].loglik))
+        targets.append(log_target(lw[i], prior.mu, W_V, const,
+                                  likelihoods[m].loglik))
         fit, L, _, _ = _map_laplace(likelihoods[m], prior)
         modes.append(fit.beta)
         chols.append(L)
@@ -541,7 +559,7 @@ def oracle_joint_chain(models, priors, policy, data, config):
             counts[0] += 1
             prop_idx = nbr[int(rng.integers(len(nbr)))]
             z = rng.standard_normal(modes[prop_idx].shape[0])
-            prop_beta = modes[prop_idx] + inv_factor(chols[prop_idx]).T @ z
+            prop_beta = modes[prop_idx] + inv_factor(chols[prop_idx])[0].T @ z
             prop_value = targets[prop_idx](prop_beta)
             log_alpha = (prop_value - value
                          + q(idx, beta)
@@ -700,7 +718,7 @@ def test_proposal_density_from_draw_matches_q_logpdf(d, seed):
     mode = rng.uniform(-10.0, 10.0, d)
     z = rng.standard_normal(d)
     from_draw = -0.5 * (q_const + float(z @ z))
-    oracle = q_logpdf(L, mode, q_const, mode + inv_factor(L).T @ z)
+    oracle = q_logpdf(L, mode, q_const, mode + inv_factor(L)[0].T @ z)
     assert abs(from_draw - oracle) <= 1e-12 * (abs(q_const) + float(z @ z))
 
 
